@@ -1,383 +1,135 @@
 #include "iot/network.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "common/logging.h"
-#include "common/parallel.h"
-#include "common/telemetry.h"
-#include "common/trace.h"
 #include "iot/codec.h"
 
 namespace prc::iot {
 
-namespace {
-
-// Exponential backoff after the a-th failed attempt (1-based), capped so a
-// long outage cannot overflow the slot counter: 1, 2, 4, ..., 1024.
-std::size_t backoff_slots_after(std::size_t failed_attempts) {
-  return std::size_t{1} << std::min<std::size_t>(failed_attempts - 1, 10);
-}
-
-}  // namespace
-
-void publish_round_metrics(const CommunicationStats& before,
-                           const CommunicationStats& after,
-                           const RoundReport& report) {
-  auto& registry = telemetry::Telemetry::registry();
-  registry.counter("iot.rounds").increment();
-  registry.counter("iot.frames_attempted")
-      .increment(after.frames_attempted - before.frames_attempted);
-  registry.counter("iot.frames_delivered")
-      .increment(after.frames_delivered - before.frames_delivered);
-  registry.counter("iot.frames_dropped")
-      .increment(after.dropped_frames - before.dropped_frames);
-  registry.counter("iot.retransmissions")
-      .increment(after.retransmissions - before.retransmissions);
-  registry.counter("iot.uplink_bytes")
-      .increment(after.uplink_bytes - before.uplink_bytes);
-  registry.counter("iot.downlink_bytes")
-      .increment(after.downlink_bytes - before.downlink_bytes);
-  registry.counter("iot.samples_transferred").increment(report.new_samples);
-  registry.gauge("iot.round_coverage").set(report.coverage);
-  registry.gauge("iot.round_min_probability").set(report.min_probability);
-  registry.histogram("iot.round_new_samples")
-      .record(static_cast<double>(report.new_samples));
-}
-
 FlatNetwork::FlatNetwork(std::vector<std::vector<double>> node_data,
                          NetworkConfig config)
-    : station_(node_data.size()),
-      config_(config),
-      faults_(config.faults, node_data.size()) {
-  if (node_data.empty()) {
-    throw std::invalid_argument("network needs >= 1 node");
-  }
-  if (config_.frame_loss_probability < 0.0 ||
-      config_.frame_loss_probability >= 1.0) {
-    throw std::invalid_argument("frame loss probability must be in [0, 1)");
-  }
+    : SimulatedNetwork(std::move(node_data), config.seed,
+                       config.frame_loss_probability, config.max_attempts,
+                       config.faults),
+      config_(config) {
   if (config_.bit_corruption_probability < 0.0 ||
       config_.bit_corruption_probability >= 1.0) {
     throw std::invalid_argument("bit corruption probability must be in [0, 1)");
   }
-  Rng master(config.seed);
-  nodes_.reserve(node_data.size());
-  for (std::size_t i = 0; i < node_data.size(); ++i) {
-    total_data_count_ += node_data[i].size();
-    nodes_.emplace_back(static_cast<int>(i), std::move(node_data[i]),
-                        master.split());
-  }
-  // Channel streams come from the SAME master, after the k sampling splits:
-  // node sampling streams keep their historical values, and every node's
-  // link randomness is an independent child a parallel round can consume
-  // without ordering constraints.
-  channel_rngs_.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    channel_rngs_.push_back(master.split());
-  }
 }
 
-void FlatNetwork::set_node_online(std::size_t node, bool online) {
-  nodes_.at(node).set_online(online);
-}
-
-FlatNetwork::Delivery FlatNetwork::transmit(std::size_t frame_bytes,
-                                            bool uplink, std::size_t node,
-                                            CommunicationStats& stats) {
-  Rng& rng = channel_rngs_[node];
-  Delivery result;
-  ++stats.frames_attempted;
-  for (;;) {
-    ++result.attempts;
-    if (uplink) {
-      ++stats.uplink_messages;
-      stats.uplink_bytes += frame_bytes;
-    } else {
-      ++stats.downlink_messages;
-      stats.downlink_bytes += frame_bytes;
-    }
-    // Draw the i.i.d. loss first, from the node's own channel stream.  The
-    // burst channel is stepped even when the i.i.d. draw already lost the
-    // frame — the fade process evolves with every attempt on the air, not
-    // per delivery.
-    const bool iid_lost = rng.bernoulli(config_.frame_loss_probability);
-    const bool burst_lost = faults_.attempt_lost(node);
-    if (!iid_lost && !burst_lost) {
-      result.delivered = true;
-      ++stats.frames_delivered;
-      maybe_duplicate(frame_bytes, uplink, node, stats);
-      return result;
-    }
-    ++stats.retransmissions;
-    if (config_.max_attempts != 0 && result.attempts >= config_.max_attempts) {
-      ++stats.dropped_frames;
-      return result;
-    }
-    stats.backoff_slots += backoff_slots_after(result.attempts);
+bool FlatNetwork::send(std::size_t node, std::size_t frame_bytes,
+                       Direction direction, CommunicationStats& stats,
+                       const Link::Acceptor& accept) {
+  if (!link_.send(node, frame_bytes, direction, stats, nullptr, accept)) {
+    return false;
   }
+  link_.duplicate(node, frame_bytes, direction, stats);
+  return true;
 }
 
-void FlatNetwork::maybe_duplicate(std::size_t frame_bytes, bool uplink,
-                                  std::size_t node,
-                                  CommunicationStats& stats) {
-  if (!faults_.duplicate_frame(node)) return;
-  ++stats.duplicated_frames;
-  if (uplink) {
-    ++stats.uplink_messages;
-    stats.uplink_bytes += frame_bytes;
-  } else {
-    ++stats.downlink_messages;
-    stats.downlink_bytes += frame_bytes;
-  }
-}
-
-FlatNetwork::Delivery FlatNetwork::deliver_frame(const SampleReport& frame,
-                                                 SampleReport& out,
-                                                 CommunicationStats& stats) {
+bool FlatNetwork::deliver_frame(const SampleReport& frame, SampleReport& out,
+                                CommunicationStats& stats) {
   const auto node = static_cast<std::size_t>(frame.node_id);
   if (!config_.byte_accurate) {
-    const Delivery result =
-        transmit(frame.wire_size(), /*uplink=*/true, node, stats);
-    if (result.delivered) out = frame;
-    return result;
+    out = frame;
+    return send(node, frame.wire_size(), Direction::kUplink, stats);
   }
-  // Byte-accurate path: serialize for real, lose/corrupt per attempt, and
-  // keep retransmitting (within the budget) until a frame survives both the
-  // channel and the CRC check.
-  Rng& rng = channel_rngs_[node];
-  Delivery result;
-  ++stats.frames_attempted;
-  for (;;) {
-    auto encoded = encode(frame);
-    ++result.attempts;
-    stats.uplink_messages += 1;
-    stats.uplink_bytes += encoded.size();
-    bool failed = false;
-    const bool iid_lost = rng.bernoulli(config_.frame_loss_probability);
-    const bool burst_lost = faults_.attempt_lost(node);
-    if (iid_lost || burst_lost) {
-      ++stats.retransmissions;
-      failed = true;
-    } else {
-      if (rng.bernoulli(config_.bit_corruption_probability)) {
-        const auto byte_index = static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(encoded.size()) - 1));
-        const auto bit =
-            static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
-        encoded[byte_index] ^= bit;
-      }
-      try {
-        out = decode_sample_report(encoded);
-        result.delivered = true;
-        ++stats.frames_delivered;
-        maybe_duplicate(encoded.size(), /*uplink=*/true, node, stats);
-        return result;
-      } catch (const CodecError&) {
-        ++stats.corrupted_frames;
-        ++stats.retransmissions;
-        failed = true;
-      }
+  // Byte-accurate path: serialize for real; an attempt that survives the
+  // channel may have one bit flipped in flight, and the station's CRC check
+  // rejects it.
+  const auto encoded = encode(frame);
+  return send(node, encoded.size(), Direction::kUplink, stats,
+              [&](Rng& channel) {
+                auto received = encoded;
+                if (channel.bernoulli(config_.bit_corruption_probability)) {
+                  const auto byte_index =
+                      static_cast<std::size_t>(channel.uniform_int(
+                          0, static_cast<std::int64_t>(received.size()) - 1));
+                  received[byte_index] ^= static_cast<std::uint8_t>(
+                      1u << channel.uniform_int(0, 7));
+                }
+                try {
+                  out = decode_sample_report(received);
+                  return true;
+                } catch (const CodecError&) {
+                  return false;
+                }
+              });
+}
+
+bool FlatNetwork::upload(const SampleReport& report, bool full_resync,
+                         CommunicationStats& stats) {
+  const auto node = static_cast<std::size_t>(report.node_id);
+  const std::size_t samples = report.new_samples.size();
+  // Small deltas piggyback on the periodic heartbeat: charge only the
+  // sample payload, not an extra frame header.  (A full resync is not a
+  // delta, and byte-accurate mode has no standalone frame for a piggybacked
+  // delta, so both always frame.)
+  if (!full_resync && !config_.byte_accurate &&
+      samples <= kHeartbeatPiggybackSamples) {
+    if (!send(node, samples * kSampleWireBytes + sizeof(std::uint64_t),
+              Direction::kUplink, stats)) {
+      return false;
     }
-    if (failed && config_.max_attempts != 0 &&
-        result.attempts >= config_.max_attempts) {
-      ++stats.dropped_frames;
-      return result;
-    }
-    stats.backoff_slots += backoff_slots_after(result.attempts);
+    ++stats.piggybacked_reports;
+    station_.ingest(report);
+    return true;
   }
+  // Delivery is atomic per node: the sender aborts the rest of the burst on
+  // the first abandoned frame, and nothing reaches the cache unless every
+  // frame arrived — a half-ingested delta would leave the cache in no
+  // well-defined probability state, and a partial full sample would
+  // silently shrink the node's apparent sample.
+  std::vector<SampleReport> arrived;
+  std::size_t offset = 0;
+  do {
+    const std::size_t take = std::min(kMaxSamplesPerFrame, samples - offset);
+    const auto first =
+        report.new_samples.begin() + static_cast<std::ptrdiff_t>(offset);
+    const auto last = first + static_cast<std::ptrdiff_t>(take);
+    const SampleReport frame{report.node_id, report.data_count, {first, last}};
+    if (!deliver_frame(frame, arrived.emplace_back(), stats)) return false;
+    offset += take;
+  } while (offset < samples);
+  if (!full_resync) {
+    for (const auto& frame : arrived) station_.ingest(frame);
+    return true;
+  }
+  SampleReport reassembled{report.node_id, report.data_count, {}};
+  for (const auto& frame : arrived) {
+    reassembled.new_samples.insert(reassembled.new_samples.end(),
+                                   frame.new_samples.begin(),
+                                   frame.new_samples.end());
+  }
+  station_.replace(reassembled);
+  return true;
 }
 
 RoundReport FlatNetwork::ensure_sampling_probability(double p) {
-  if (!(p > 0.0) || p > 1.0) {
-    throw std::invalid_argument("sampling probability must be in (0, 1]");
-  }
-  RoundReport report;
-  report.target_p = p;
-  report.outcomes.assign(nodes_.size(), NodeOutcome::kDelivered);
-
-  if (p <= station_.sampling_probability()) {
-    // The cache already satisfies the request: no traffic, no churn step.
-    // Report where each node stands relative to the *requested* p.
-    telemetry::counter("iot.rounds_noop").increment();
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (station_.node_probability(i) >= p) continue;
-      report.outcomes[i] = station_.node_reported(i) ? NodeOutcome::kStale
-                                                     : NodeOutcome::kOffline;
-    }
-    const CoverageSummary cov = station_.coverage();
-    report.coverage = cov.coverage;
-    report.min_probability = cov.min_probability;
-    return report;
-  }
-
-  PRC_TRACE_SPAN("iot.round");
-  telemetry::ScopedTimer round_timer(
-      telemetry::histogram("iot.round_duration_us"));
-  const CommunicationStats stats_before = stats_;
-  faults_.begin_round();
-  const std::size_t retrans_before = stats_.retransmissions;
-  const std::size_t dropped_before = stats_.dropped_frames;
-  std::vector<bool> refreshed(nodes_.size(), false);
-
-  // Per-node lanes: each node's report generation + channel simulation runs
-  // independently (its own channel RNG, burst state, and stats lane; the
-  // station is internally mutexed and its per-node entries are disjoint),
-  // so the loop parallelizes with no cross-node ordering.  Lanes are merged
-  // serially in node order below, making the round bit-identical at any
-  // thread count.
-  struct NodeLane {
-    CommunicationStats stats;
-    std::size_t new_samples = 0;
-    bool refreshed = false;
-  };
-  std::vector<NodeLane> lanes(nodes_.size());
-
-  parallel::parallel_for_each(nodes_.size(), [&](std::size_t i) {
-    auto& node = nodes_[i];
-    auto& lane = lanes[i];
-    const SampleRequest request{node.id(), p};
+  return run_round(p, [&](std::size_t i, NodeLane& lane) {
     // The station does not know which nodes crashed; the request goes out
     // regardless (and is charged), exactly like the real downlink.
-    const Delivery down =
-        transmit(request.wire_size(), /*uplink=*/false, i, lane.stats);
-    const bool offline = !node.online() || faults_.node_offline(i);
-    if (!down.delivered) {
-      // The node never heard the request, so its local sampler did not move:
-      // the station cache stays consistent, just older.
-      report.outcomes[i] = NodeOutcome::kDropped;
+    if (!send(i, SampleRequest{}.wire_size(), Direction::kDownlink,
+              lane.stats)) {
+      // The node never heard the request, so its local sampler did not
+      // move: the station cache stays consistent, just older.
+      lane.outcome = NodeOutcome::kDropped;
       return;
     }
-    if (offline) {
-      PRC_LOG_DEBUG << "node " << node.id() << " offline; skipping round";
-      report.outcomes[i] = station_.node_probability(i) > 0.0
-                               ? NodeOutcome::kStale
-                               : NodeOutcome::kOffline;
+    if (offline(i)) {
+      PRC_LOG_DEBUG << "node " << i << " offline; skipping round";
+      lane.outcome = prior_outcome(i);
       return;
     }
-    SampleReport node_report = node.handle(request);
-    if (node.dirty()) {
-      // Appends since the last resync shifted this node's ranks, so the
-      // station's cached deltas are in a stale rank epoch.  The node sends
-      // its full current sample instead and the station replaces the cache.
-      node_report = node.full_report();
-      if (transmit_full_report(node_report, lane.stats)) {
-        lane.new_samples = node_report.new_samples.size();
-        lane.stats.samples_transferred += node_report.new_samples.size();
-        lane.refreshed = true;
-      } else {
-        // The node's sampler already advanced to p, but the station never
-        // saw the refreshed sample: force a full resync next opportunity.
-        node.invalidate_cached_sample();
-        report.outcomes[i] = NodeOutcome::kDropped;
-      }
-      return;
-    }
-
-    // Small reports piggyback on the periodic heartbeat: charge only the
-    // sample payload, not an extra frame header.  (Byte-accurate mode has
-    // no standalone frame for a piggybacked delta, so it always frames.)
-    if (!config_.byte_accurate &&
-        node_report.new_samples.size() <= kHeartbeatPiggybackSamples) {
-      const Delivery up =
-          transmit(node_report.new_samples.size() * kSampleWireBytes +
-                       sizeof(std::uint64_t),
-                   /*uplink=*/true, i, lane.stats);
-      if (up.delivered) {
-        ++lane.stats.piggybacked_reports;
-        lane.new_samples = node_report.new_samples.size();
-        lane.stats.samples_transferred += node_report.new_samples.size();
-        station_.ingest(node_report);
-        lane.refreshed = true;
-      } else {
-        node.invalidate_cached_sample();
-        report.outcomes[i] = NodeOutcome::kDropped;
-      }
-      return;
-    }
-    // Otherwise split into frames of kMaxSamplesPerFrame samples each.
-    // Ingestion is atomic per node: a delta is only committed when every
-    // frame delivered — a half-ingested delta would leave the cache in no
-    // well-defined probability state at all.
-    std::vector<SampleReport> arrived;
-    bool all_delivered = true;
-    std::size_t offset = 0;
-    do {
-      const std::size_t take = std::min(
-          kMaxSamplesPerFrame, node_report.new_samples.size() - offset);
-      SampleReport frame;
-      frame.node_id = node_report.node_id;
-      frame.data_count = node_report.data_count;
-      frame.new_samples.assign(
-          node_report.new_samples.begin() + static_cast<std::ptrdiff_t>(offset),
-          node_report.new_samples.begin() +
-              static_cast<std::ptrdiff_t>(offset + take));
-      SampleReport delivered;
-      if (!deliver_frame(frame, delivered, lane.stats).delivered) {
-        all_delivered = false;
-        break;  // the sender aborts the rest of the burst
-      }
-      arrived.push_back(std::move(delivered));
-      offset += take;
-    } while (offset < node_report.new_samples.size());
-    if (all_delivered) {
-      for (const auto& frame : arrived) station_.ingest(frame);
-      lane.new_samples = node_report.new_samples.size();
-      lane.stats.samples_transferred += node_report.new_samples.size();
-      lane.refreshed = true;
-    } else {
-      node.invalidate_cached_sample();
-      report.outcomes[i] = NodeOutcome::kDropped;
-    }
+    const TopUp top = top_up(i, p);
+    settle(i, lane, upload(top.report, top.full_resync, lane.stats),
+           top.report.new_samples.size());
   });
-
-  // Serial merge in node index order.
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    stats_ += lanes[i].stats;
-    report.new_samples += lanes[i].new_samples;
-    refreshed[i] = lanes[i].refreshed;
-  }
-
-  station_.commit_round(p, refreshed);
-  report.retries = stats_.retransmissions - retrans_before;
-  report.dropped_frames = stats_.dropped_frames - dropped_before;
-  const CoverageSummary cov = station_.coverage();
-  report.coverage = cov.coverage;
-  report.min_probability = cov.min_probability;
-  last_round_ = report;
-  publish_round_metrics(stats_before, stats_, report);
-  return report;
-}
-
-bool FlatNetwork::transmit_full_report(const SampleReport& report,
-                                       CommunicationStats& stats) {
-  // Full resync never piggybacks (it is not a delta); split into frames for
-  // delivery, reassemble what actually arrived, then replace the cache
-  // wholesale — but only if EVERY frame made it (a partial full-sample
-  // would silently shrink the node's apparent sample).
-  SampleReport reassembled;
-  reassembled.node_id = report.node_id;
-  reassembled.data_count = report.data_count;
-  std::size_t offset = 0;
-  do {
-    const std::size_t take =
-        std::min(kMaxSamplesPerFrame, report.new_samples.size() - offset);
-    SampleReport frame;
-    frame.node_id = report.node_id;
-    frame.data_count = report.data_count;
-    frame.new_samples.assign(
-        report.new_samples.begin() + static_cast<std::ptrdiff_t>(offset),
-        report.new_samples.begin() +
-            static_cast<std::ptrdiff_t>(offset + take));
-    SampleReport delivered;
-    if (!deliver_frame(frame, delivered, stats).delivered) return false;
-    reassembled.new_samples.insert(reassembled.new_samples.end(),
-                                   delivered.new_samples.begin(),
-                                   delivered.new_samples.end());
-    offset += take;
-  } while (offset < report.new_samples.size());
-  station_.replace(reassembled);
-  return true;
 }
 
 void FlatNetwork::append_data(std::size_t node,
@@ -392,8 +144,8 @@ std::size_t FlatNetwork::refresh_samples() {
   for (auto& node : nodes_) {
     if (!node.dirty()) continue;
     if (!node.online()) continue;  // resync deferred until the node rejoins
-    SampleReport report = node.full_report();
-    if (transmit_full_report(report, stats_)) {
+    const SampleReport report = node.full_report();
+    if (upload(report, /*full_resync=*/true, stats_)) {
       ++resynced;
       stats_.samples_transferred += report.new_samples.size();
     } else {

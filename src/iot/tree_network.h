@@ -16,13 +16,10 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/rng.h"
-#include "iot/base_station.h"
-#include "iot/messages.h"
-#include "iot/network.h"
-#include "iot/node.h"
-#include "iot/sampling_network.h"
-#include "query/range_query.h"
+#include "iot/faults.h"
+#include "iot/link.h"
+#include "iot/round_report.h"
+#include "iot/simulated_network.h"
 
 namespace prc::iot {
 
@@ -43,25 +40,12 @@ struct TreeConfig {
   std::size_t max_attempts = 0;
 };
 
-/// Per-depth traffic accounting.
-struct TreeLevelStats {
-  std::size_t links_crossed = 0;
-  std::size_t bytes = 0;
-};
-
-class TreeNetwork final : public SamplingNetwork {
+class TreeNetwork final : public SimulatedNetwork {
  public:
   /// node_data[i] is node i's local multiset; node i's tree position is
   /// breadth-first (node 0 is a child of the root base station).
   TreeNetwork(std::vector<std::vector<double>> node_data,
               TreeConfig config = {});
-
-  std::size_t node_count() const noexcept override {
-    return nodes_.size();
-  }
-  std::size_t total_data_count() const noexcept override {
-    return total_data_count_;
-  }
 
   /// Depth (link count to the base station) of a node; min 1.
   std::size_t depth(std::size_t node) const;
@@ -69,19 +53,9 @@ class TreeNetwork final : public SamplingNetwork {
   /// Height of the tree (max depth over nodes).
   std::size_t height() const noexcept { return height_; }
 
-  const BaseStation& base_station() const noexcept override {
-    return station_;
-  }
-  const CommunicationStats& stats() const noexcept { return stats_; }
   const std::vector<TreeLevelStats>& level_stats() const noexcept {
     return level_stats_;
   }
-
-  /// Marks a sensor offline/online.  An offline LEAF just skips rounds; an
-  /// offline INTERIOR node also severs its whole subtree — descendants stay
-  /// alive and sample locally, but their reports cannot reach the root and
-  /// are counted as severed in the round report.
-  void set_node_online(std::size_t node, bool online);
 
   /// True when every sensor on `node`'s path to the root is offline-free
   /// (the node itself not included).
@@ -89,61 +63,17 @@ class TreeNetwork final : public SamplingNetwork {
 
   /// Runs a top-up round to probability `p`, routing every report up the
   /// tree.  With faults disabled, unbounded retries, and all nodes online
-  /// this is the exact seed accounting (including in-network aggregation);
-  /// a degraded round falls back to per-node store-and-forward accounting so
-  /// each report's delivery can succeed or fail independently.
+  /// an aggregating tree charges the in-network convergecast; any other
+  /// round relays each report store-and-forward, so each report's delivery
+  /// can succeed or fail independently.
   RoundReport ensure_sampling_probability(double p) override;
 
-  /// The report of the most recent round (default-constructed before any).
-  const RoundReport& last_round() const noexcept { return last_round_; }
-
-  double rank_counting_estimate(
-      const query::RangeQuery& range) const override {
-    return station_.rank_counting_estimate(range);
-  }
-
-  std::vector<double> rank_counting_estimate_batch(
-      std::span<const query::RangeQuery> ranges) const override {
-    return station_.rank_counting_estimate_batch(ranges);
-  }
-
  private:
-  struct Delivery {
-    std::size_t attempts = 0;
-    bool delivered = false;
-  };
+  /// Charges the coalesced convergecast of a fault-free aggregated round,
+  /// after every node's report already reached the station.
+  void account_convergecast(const std::vector<NodeLane>& lanes);
 
-  /// Unbounded link crossing (fault-free path); `origin` keys the
-  /// transmitting node's channel RNG stream.
-  std::size_t transmit_link(std::size_t frame_bytes, std::size_t level,
-                            std::size_t origin);
-
-  /// Bounded-attempt link crossing for the degraded path; `origin` keys the
-  /// Gilbert–Elliott channel and channel RNG of the report's source node.
-  /// Traffic is accounted into the given stats/level lanes (per-node during
-  /// a parallel round).
-  Delivery transmit_link_bounded(std::size_t frame_bytes, std::size_t level,
-                                 std::size_t origin, CommunicationStats& stats,
-                                 std::vector<TreeLevelStats>& levels);
-
-  /// Bounded-attempt downlink frame toward `node` (not level-accounted, to
-  /// match the seed's downlink flood).
-  Delivery transmit_downlink_bounded(std::size_t frame_bytes, std::size_t node,
-                                     CommunicationStats& stats);
-
-  RoundReport run_degraded_round(double p);
-
-  std::vector<SensorNode> nodes_;
-  BaseStation station_;
-  CommunicationStats stats_;
-  std::vector<TreeLevelStats> level_stats_;
-  /// Per-node channel RNG streams split from the master seed (see
-  /// FlatNetwork::channel_rngs_ and DESIGN.md "Threading model").
-  std::vector<Rng> channel_rngs_;
   TreeConfig config_;
-  FaultSchedule faults_;
-  RoundReport last_round_;
-  std::size_t total_data_count_ = 0;
   std::size_t height_ = 0;
 };
 

@@ -134,6 +134,18 @@ TEST(TreeNetworkTest, LossIsChargedAndConsistent) {
   EXPECT_EQ(a.base_station().total_data_count(), 9600u);
 }
 
+TEST(TreeNetworkTest, LossyFaultFreeRoundCountsEveryRetryAndBackoff) {
+  // Retries cover every frame of the round, downlink requests included, and
+  // an unbounded budget still backs off between attempts.
+  TreeConfig config;
+  config.fanout = 2;
+  config.frame_loss_probability = 0.3;
+  TreeNetwork network(grid_node_data(24, 400), config);
+  const RoundReport report = network.ensure_sampling_probability(0.3);
+  EXPECT_EQ(report.retries, network.stats().retransmissions);
+  EXPECT_GT(network.stats().backoff_slots, 0u);
+}
+
 TEST(TreeNetworkTest, IncrementalRoundsAccumulate) {
   TreeNetwork network(grid_node_data(4, 500));
   const auto first = network.ensure_sampling_probability(0.1).new_samples;
