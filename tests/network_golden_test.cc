@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <functional>
 #include <ios>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -427,6 +428,10 @@ struct GoldenParam {
   std::size_t scenario;
   std::size_t threads;
 };
+
+void PrintTo(const GoldenParam& param, std::ostream* os) {
+  *os << scenarios()[param.scenario].name << ", threads=" << param.threads;
+}
 
 class NetworkGoldenTest : public ::testing::TestWithParam<GoldenParam> {};
 
