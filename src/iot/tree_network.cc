@@ -101,7 +101,7 @@ RoundReport TreeNetwork::ensure_sampling_probability(double p) {
       for (std::size_t level = depth(i); level >= 1; --level) {
         if (!link_.send(i, bytes, Direction::kUplink, lane.stats,
                         &lane.levels[level])) {
-          settle(i, lane, false, 0);
+          settle(i, lane, /*delivered=*/false, 0);
           return;
         }
         link_.duplicate(i, bytes, Direction::kUplink, lane.stats);
@@ -112,7 +112,7 @@ RoundReport TreeNetwork::ensure_sampling_probability(double p) {
     } else {
       station_.ingest(top.report);
     }
-    settle(i, lane, true, samples);
+    settle(i, lane, /*delivered=*/true, samples);
   };
   // An aggregating round cannot fail, so reports reach the station inside
   // the lanes and the convergecast is charged once every lane's sample
