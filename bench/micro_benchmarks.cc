@@ -1,9 +1,10 @@
 // google-benchmark micro-benchmarks of the hot paths: per-node estimation,
-// global estimation, batched multi-query estimation, sampling top-up, the
-// perturbation optimizer, Laplace draws, CSV parsing and the (retired)
-// per-ingest rank audit.
+// global estimation, batched multi-query estimation, sampling top-up and
+// streaming append, rank-sample construction, the perturbation optimizer,
+// Laplace draws, CSV parsing and the (retired) per-ingest rank audit.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_set>
 #include <utility>
@@ -143,6 +144,37 @@ void BM_SamplerTopUp(benchmark::State& state) {
 }
 BENCHMARK(BM_SamplerTopUp)->Arg(1000)->Arg(10000);
 
+// Streaming arrivals: 32 newcomers per append into a node holding n values
+// (sampled at p = 0.1).  The node grows from n to 2n and is then rebuilt
+// outside the timed region, so each append sees between n and 2n values.
+void BM_SamplerAppend(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto base = make_values(n);
+  std::vector<std::vector<double>> batches(64, std::vector<double>(32));
+  Rng gen(41);
+  for (auto& batch : batches) {
+    for (auto& v : batch) v = gen.uniform(0.0, 200.0);
+  }
+  Rng rng(43);
+  const auto fresh_sampler = [&] {
+    sampling::LocalSampler sampler(base);
+    sampler.raise_probability(0.1, rng);
+    return sampler;
+  };
+  sampling::LocalSampler sampler = fresh_sampler();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (sampler.data_count() >= 2 * n) {
+      state.PauseTiming();
+      sampler = fresh_sampler();
+      state.ResumeTiming();
+    }
+    sampler.append(batches[next++ % batches.size()], rng);
+    benchmark::DoNotOptimize(sampler.sample_count());
+  }
+}
+BENCHMARK(BM_SamplerAppend)->Arg(1000)->Arg(10000)->Arg(100000);
+
 // Raw exhaustive-grid search cost as a function of grid size (cache off so
 // every iteration pays the full sweep).  This is what the planner cost was
 // before the coarse-to-fine strategy; compare with BM_OptimizeColdVsWarm.
@@ -216,20 +248,28 @@ void BM_CityPulseGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_CityPulseGenerate)->Arg(1000)->Arg(17568);
 
-// The station ingests one RankSampleSet per report; construction is the
-// sort, nothing else (rank validation is PRC_DCHECK-gated since the
-// parallel-collection change).
+// The station ingests one RankSampleSet per report; construction is an
+// order check plus, for unordered input, the sort (rank validation is
+// PRC_DCHECK-gated).  Args: (n, sorted).  sorted = 1 passes the sample in
+// the (value, rank) order a node emits it; sorted = 0 passes it shuffled.
 void BM_RankSampleConstruct(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<sampling::RankedValue> values =
-      make_sample(n, 0.5).samples();
+  std::vector<sampling::RankedValue> values = make_sample(n, 0.5).samples();
+  if (state.range(1) == 0) {
+    Rng rng(29);
+    std::shuffle(values.begin(), values.end(), rng);
+  }
   for (auto _ : state) {
     auto copy = values;
     sampling::RankSampleSet set(std::move(copy));
     benchmark::DoNotOptimize(set.size());
   }
 }
-BENCHMARK(BM_RankSampleConstruct)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_RankSampleConstruct)
+    ->Args({1000, 0})
+    ->Args({1000, 1})
+    ->Args({10000, 0})
+    ->Args({10000, 1});
 
 // What every release-build ingest used to pay on top: the always-on
 // duplicate-rank audit (hash-set insert per sample).  The gap between this

@@ -138,7 +138,9 @@ void BaseStation::ingest(const SampleReport& report) {
   if (!report.new_samples.empty()) {
     entry.samples.merge(sampling::RankSampleSet(report.new_samples));
   }
-  telemetry::counter("iot.station.reports_ingested").increment();
+  static telemetry::Counter& reports_ingested =
+      telemetry::counter("iot.station.reports_ingested");
+  reports_ingested.increment();
 }
 
 void BaseStation::replace(const SampleReport& full_report) {
@@ -155,7 +157,9 @@ void BaseStation::replace_locked(const SampleReport& full_report) {
   entry.data_count = full_report.data_count;
   entry.reported = true;
   entry.samples = sampling::RankSampleSet(full_report.new_samples);
-  telemetry::counter("iot.station.cache_replacements").increment();
+  static telemetry::Counter& cache_replacements =
+      telemetry::counter("iot.station.cache_replacements");
+  cache_replacements.increment();
 }
 
 void BaseStation::commit_round(double p) {
@@ -187,10 +191,15 @@ void BaseStation::commit_round_locked(double p,
     }
     cached += entries_[i].samples.size();
   }
-  telemetry::counter("iot.station.rounds_committed").increment();
-  telemetry::gauge("iot.station.cached_samples")
-      .set(static_cast<double>(cached));
-  telemetry::gauge("iot.station.sampling_probability").set(p);
+  static telemetry::Counter& rounds_committed =
+      telemetry::counter("iot.station.rounds_committed");
+  static telemetry::Gauge& cached_samples =
+      telemetry::gauge("iot.station.cached_samples");
+  static telemetry::Gauge& sampling_probability =
+      telemetry::gauge("iot.station.sampling_probability");
+  rounds_committed.increment();
+  cached_samples.set(static_cast<double>(cached));
+  sampling_probability.set(p);
 }
 
 std::vector<estimator::NodeSampleView> BaseStation::node_views() const {

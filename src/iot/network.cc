@@ -134,9 +134,9 @@ RoundReport FlatNetwork::ensure_sampling_probability(double p) {
 
 void FlatNetwork::append_data(std::size_t node,
                               const std::vector<double>& values) {
-  auto& sensor = nodes_.at(node);
+  // Append first: a rejected batch (a non-finite value) leaves the count.
+  nodes_.at(node).append_data(values);
   total_data_count_ += values.size();
-  sensor.append_data(values);
 }
 
 std::size_t FlatNetwork::refresh_samples() {

@@ -60,7 +60,9 @@ class FlatNetwork final : public SimulatedNetwork {
 
   /// Continuous collection: node `node` observes new readings.  The node
   /// samples them locally at the current probability; the base station's
-  /// cached copy becomes stale until the next refresh_samples().
+  /// cached copy becomes stale until the next refresh_samples().  A batch
+  /// holding NaN or infinity throws prc::ContractViolation and changes
+  /// neither the node nor total_data_count().
   void append_data(std::size_t node, const std::vector<double>& values);
 
   /// Resynchronizes every dirty node: the node retransmits its full sample

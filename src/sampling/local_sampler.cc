@@ -9,6 +9,7 @@ namespace prc::sampling {
 
 LocalSampler::LocalSampler(std::vector<double> values)
     : sorted_(std::move(values)), selected_(sorted_.size(), false) {
+  for (double v : sorted_) PRC_CHECK_FINITE(v);
   std::sort(sorted_.begin(), sorted_.end());
 }
 
@@ -34,25 +35,38 @@ std::vector<RankedValue> LocalSampler::raise_probability(double p, Rng& rng) {
 
 void LocalSampler::append(const std::vector<double>& values, Rng& rng) {
   if (values.empty()) return;
-  // Pair up the existing order with its selection flags, add the newcomers
-  // (each drawn at the current p), and re-sort; ranks follow the new order.
-  std::vector<std::pair<double, bool>> merged;
-  merged.reserve(sorted_.size() + values.size());
-  for (std::size_t i = 0; i < sorted_.size(); ++i) {
-    merged.emplace_back(sorted_[i], static_cast<bool>(selected_[i]));
-  }
+  for (double v : values) PRC_CHECK_FINITE(v);
+  // Draw each newcomer at the current p in arrival order, sort only the
+  // newcomers (stably, so equal values keep arrival order), then merge them
+  // in from the back.  An existing element moves only when it is strictly
+  // greater than the newcomer being placed, so existing copies of a value
+  // keep the lower ranks.
+  std::vector<std::pair<double, bool>> fresh;
+  fresh.reserve(values.size());
   for (double v : values) {
     const bool take = rng.bernoulli(p_);
-    merged.emplace_back(v, take);
+    fresh.emplace_back(v, take);
     if (take) ++sampled_count_;
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  sorted_.resize(merged.size());
-  selected_.assign(merged.size(), false);
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    sorted_[i] = merged[i].first;
-    selected_[i] = merged[i].second;
+  std::stable_sort(
+      fresh.begin(), fresh.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::size_t i = sorted_.size();
+  std::size_t j = fresh.size();
+  std::size_t k = i + j;
+  sorted_.resize(k);
+  selected_.resize(k);
+  while (j > 0) {
+    --k;
+    if (i > 0 && sorted_[i - 1] > fresh[j - 1].first) {
+      --i;
+      sorted_[k] = sorted_[i];
+      selected_[k] = selected_[i];
+    } else {
+      --j;
+      sorted_[k] = fresh[j].first;
+      selected_[k] = fresh[j].second;
+    }
   }
 }
 

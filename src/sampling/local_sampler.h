@@ -22,6 +22,7 @@ class LocalSampler {
  public:
   /// Copies and sorts the node's local values.  Ranks are positions in this
   /// sorted order (1-based); duplicates get consecutive distinct ranks.
+  /// Throws prc::ContractViolation if any value is NaN or infinite.
   explicit LocalSampler(std::vector<double> values);
 
   std::size_t data_count() const noexcept { return sorted_.size(); }
@@ -42,6 +43,14 @@ class LocalSampler {
   /// marginal inclusion law stays Bernoulli(p) for every element.  Ranks of
   /// existing samples shift, so after an append the node must retransmit its
   /// full sample (current_sample()) rather than a delta.
+  ///
+  /// One Bernoulli(p) draw per newcomer, in arrival order.  O(n + m log m)
+  /// for n held and m new values: only the newcomers are sorted, then merged
+  /// in one linear pass.  Ties: the result equals a stable sort by value of
+  /// "existing elements, then newcomers in arrival order", so existing
+  /// copies of a value keep the lower ranks and equal newcomers rank in
+  /// arrival order.  Throws prc::ContractViolation, with the sampler and
+  /// `rng` untouched, if any value is NaN or infinite.
   void append(const std::vector<double>& values, Rng& rng);
 
   /// The full current sample with ranks.

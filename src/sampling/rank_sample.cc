@@ -17,7 +17,12 @@ bool value_rank_less(const RankedValue& a, const RankedValue& b) {
 
 RankSampleSet::RankSampleSet(std::vector<RankedValue> samples)
     : samples_(std::move(samples)) {
-  std::sort(samples_.begin(), samples_.end(), value_rank_less);
+  // Ranks are unique, so (value, rank) order is the only order a sort could
+  // produce: input that already has it (a node's full sample, a top-up
+  // delta) skips the sort.
+  if (!std::is_sorted(samples_.begin(), samples_.end(), value_rank_less)) {
+    std::sort(samples_.begin(), samples_.end(), value_rank_less);
+  }
   check_invariants();
 }
 

@@ -28,7 +28,10 @@ class RankSampleSet {
  public:
   RankSampleSet() = default;
 
-  /// Takes samples in any order; sorts by (value, rank).  Rank validity
+  /// Takes samples in any order; sorts by (value, rank).  Ranks are unique,
+  /// so that order is total and equal values order by rank.  Input already
+  /// in (value, rank) order (a node's full sample, a top-up delta) costs one
+  /// O(n) std::is_sorted pass instead of the O(n log n) sort.  Rank validity
   /// (1-based, collision-free) is verified only when PRC_DCHECK is on
   /// (debug / sanitizer builds), raising prc::ContractViolation (a
   /// std::invalid_argument); release builds trust the sampler/codec

@@ -3,18 +3,23 @@
 // the paper's theorems rely on has a test here demonstrating that the
 // corresponding runtime contract actually fires when violated.
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.h"
 #include "dp/amplification.h"
 #include "dp/laplace_mechanism.h"
+#include "iot/network.h"
 #include "market/ledger.h"
 #include "pricing/pricing.h"
 #include "pricing/variance_model.h"
 #include "query/range_query.h"
+#include "sampling/local_sampler.h"
 
 namespace prc {
 namespace {
@@ -116,6 +121,40 @@ TEST(LayerInvariants, BadSamplingProbabilityFires) {
       dp::sensitivity_for(dp::SensitivityPolicy::kExpected, 0.0, 1),
       ContractViolation);
   EXPECT_THROW(dp::amplified_epsilon(0.5, 1.5), ContractViolation);
+}
+
+// Sampling layer: a NaN reading makes the sort order invalid, and an
+// infinite one poisons every estimate, so readings must be finite.
+TEST(LayerInvariants, NonFiniteReadingAtConstructionFires) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(sampling::LocalSampler({1.0, std::nan(""), 2.0}),
+               ContractViolation);
+  EXPECT_THROW(sampling::LocalSampler({-inf, 1.0}), ContractViolation);
+}
+
+// A rejected append leaves the sampler and its generator untouched.
+TEST(LayerInvariants, NonFiniteReadingOnAppendFires) {
+  const double inf = std::numeric_limits<double>::infinity();
+  sampling::LocalSampler sampler({1.0, 2.0, 3.0});
+  Rng rng(5);
+  sampler.raise_probability(0.5, rng);
+  const auto before = sampler.current_sample().samples();
+  Rng expected = rng;
+  EXPECT_THROW(sampler.append({4.0, std::nan("")}, rng), ContractViolation);
+  EXPECT_THROW(sampler.append({inf}, rng), ContractViolation);
+  EXPECT_EQ(sampler.data_count(), 3u);
+  EXPECT_EQ(sampler.current_sample().samples(), before);
+  EXPECT_EQ(rng(), expected());
+}
+
+// The network counts a batch only once its node has accepted it.
+TEST(LayerInvariants, NonFiniteBatchLeavesNetworkCountUnchanged) {
+  iot::FlatNetwork network({{1.0, 2.0}, {3.0}});
+  EXPECT_THROW(network.append_data(0, {4.0, std::nan("")}),
+               ContractViolation);
+  EXPECT_EQ(network.total_data_count(), 3u);
+  network.append_data(0, {4.0});
+  EXPECT_EQ(network.total_data_count(), 4u);
 }
 
 // DP layer: epsilon must be finite and positive at every mechanism entry.
