@@ -128,9 +128,7 @@ inline Options parse_options(int argc, char** argv) {
 /// otherwise the paper-shaped synthetic generator.
 inline std::vector<data::AirQualityRecord> load_records(
     const Options& options) {
-  PRC_TRACE_SPAN("bench.load_records");
-  telemetry::ScopedTimer timer(
-      telemetry::histogram("bench.load_records_duration_us"));
+  PRC_TIMED_SPAN("bench.load_records");
   if (options.csv_path) {
     std::cout << "# dataset: " << *options.csv_path << "\n";
     return data::read_records_csv(*options.csv_path);
@@ -146,9 +144,7 @@ inline std::vector<data::AirQualityRecord> load_records(
 /// Builds a k-node flat network holding one column's values.
 inline iot::FlatNetwork make_network(const data::Column& column,
                                      std::size_t nodes, std::uint64_t seed) {
-  PRC_TRACE_SPAN("bench.make_network");
-  telemetry::ScopedTimer timer(
-      telemetry::histogram("bench.make_network_duration_us"));
+  PRC_TIMED_SPAN("bench.make_network");
   Rng rng(seed);
   auto node_data = data::partition_values(
       column.values(), nodes, data::PartitionStrategy::kRoundRobin, rng);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -14,12 +13,6 @@
 namespace prc::telemetry {
 
 namespace {
-
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void append_double(std::ostringstream& out, double value) {
   // max_digits10 keeps snapshot -> JSON -> snapshot lossless.
@@ -426,15 +419,6 @@ void Telemetry::reset() {
   for (auto& [name, counter] : counters_) counter->reset();
   for (auto& [name, gauge] : gauges_) gauge->reset();
   for (auto& [name, histogram] : histograms_) histogram->reset();
-}
-
-ScopedTimer::ScopedTimer(Histogram& sink)
-    : sink_(sink), start_ns_(steady_now_ns()) {}
-
-ScopedTimer::~ScopedTimer() {
-  const double elapsed_us =
-      static_cast<double>(steady_now_ns() - start_ns_) / 1000.0;
-  sink_.record(elapsed_us);
 }
 
 }  // namespace prc::telemetry

@@ -197,18 +197,4 @@ inline Histogram& histogram(const std::string& name) {
   return Telemetry::registry().histogram(name);
 }
 
-/// RAII wall-clock timer recording elapsed microseconds into a histogram at
-/// scope exit (steady clock).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram& sink);
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer();
-
- private:
-  Histogram& sink_;
-  std::int64_t start_ns_;
-};
-
 }  // namespace prc::telemetry

@@ -169,20 +169,27 @@ void publish_telemetry() {
       .set(static_cast<double>(Tracer::instance().dropped()));
 }
 
-ScopedSpan::ScopedSpan(const char* name) : name_(name) {
+ScopedSpan::ScopedSpan(const char* name, telemetry::Histogram* duration_us)
+    : name_(name), duration_us_(duration_us) {
   auto& tracer = Tracer::instance();
-  if (!tracer.enabled()) return;
-  active_ = true;
-  id_ = tracer.next_id();
-  parent_id_ = t_open_spans.empty() ? 0 : t_open_spans.back();
-  depth_ = static_cast<std::uint32_t>(t_open_spans.size());
-  t_open_spans.push_back(id_);
-  start_ns_ = tracer.now_ns();
+  active_ = tracer.enabled();
+  if (active_) {
+    id_ = tracer.next_id();
+    parent_id_ = t_open_spans.empty() ? 0 : t_open_spans.back();
+    depth_ = static_cast<std::uint32_t>(t_open_spans.size());
+    t_open_spans.push_back(id_);
+  }
+  if (active_ || duration_us_ != nullptr) start_ns_ = tracer.now_ns();
 }
 
 ScopedSpan::~ScopedSpan() {
-  if (!active_) return;
+  if (!active_ && duration_us_ == nullptr) return;
   auto& tracer = Tracer::instance();
+  const std::int64_t duration_ns = tracer.now_ns() - start_ns_;
+  if (duration_us_ != nullptr) {
+    duration_us_->record(static_cast<double>(duration_ns) / 1000.0);
+  }
+  if (!active_) return;
   SpanRecord span;
   span.id = id_;
   span.parent_id = parent_id_;
@@ -190,7 +197,7 @@ ScopedSpan::~ScopedSpan() {
   span.tid = current_tid();
   span.name = name_;
   span.start_ns = start_ns_;
-  span.duration_ns = tracer.now_ns() - start_ns_;
+  span.duration_ns = duration_ns;
   t_open_spans.pop_back();
   tracer.record(std::move(span));
 }

@@ -2,7 +2,9 @@
 //
 //   PRC_TRACE_SPAN("dp.optimize");
 //
-// opens an RAII span named after the operation; nested spans (same thread)
+// opens an RAII span named after the operation; PRC_TIMED_SPAN("dp.optimize")
+// also records the scope's duration into the "dp.optimize_duration_us"
+// histogram, from the same two clock reads.  Nested spans (same thread)
 // record their parent's id and depth, so a full sale traces as
 //   market.sell -> dp.answer -> { iot.round, dp.optimize }.
 // Completed spans land in a bounded ring buffer (oldest dropped first);
@@ -27,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/telemetry.h"
 #include "common/thread_annotations.h"
 
 namespace prc::trace {
@@ -103,10 +106,14 @@ class Tracer {
   std::uint64_t dropped_ PRC_GUARDED_BY(mutex_) = 0;
 };
 
-/// RAII span handle; see PRC_TRACE_SPAN.
+/// RAII span handle; see PRC_TRACE_SPAN and PRC_TIMED_SPAN.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name);
+  /// With a `duration_us` sink, the scope's elapsed microseconds land there
+  /// on exit whether or not the tracer is enabled; the ring gets the span
+  /// only while it is.  Both read the same start and end clock samples.
+  explicit ScopedSpan(const char* name,
+                      telemetry::Histogram* duration_us = nullptr);
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
   ~ScopedSpan();
@@ -115,11 +122,12 @@ class ScopedSpan {
 
  private:
   const char* name_;
+  telemetry::Histogram* duration_us_;
   std::uint64_t id_ = 0;
   std::uint64_t parent_id_ = 0;
   std::uint32_t depth_ = 0;
   std::int64_t start_ns_ = 0;
-  bool active_ = false;
+  bool active_ = false;  ///< the span goes to the ring
 };
 
 /// Publishes tracer-ring statistics into the metrics registry: sets the
@@ -137,3 +145,12 @@ void publish_telemetry();
 /// Opens a span covering the rest of the enclosing scope.
 #define PRC_TRACE_SPAN(name) \
   ::prc::trace::ScopedSpan PRC_TRACE_CONCAT(prc_trace_span_, __LINE__)(name)
+
+/// A span that also records its duration into the `<name>_duration_us`
+/// histogram, looked up once per site.  `name` must be a string literal.
+#define PRC_TIMED_SPAN(name)                                           \
+  static ::prc::telemetry::Histogram& PRC_TRACE_CONCAT(                \
+      prc_span_duration_, __LINE__) =                                  \
+      ::prc::telemetry::histogram(name "_duration_us");                \
+  ::prc::trace::ScopedSpan PRC_TRACE_CONCAT(prc_trace_span_, __LINE__)( \
+      name, &PRC_TRACE_CONCAT(prc_span_duration_, __LINE__))

@@ -1,6 +1,7 @@
 #include "dp/optimizer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -9,7 +10,6 @@
 #include "common/telemetry.h"
 #include "common/trace.h"
 #include "dp/amplification.h"
-#include "dp/plan_cache.h"
 #include "estimator/accuracy.h"
 #include "estimator/rank_counting.h"
 
@@ -52,6 +52,26 @@ struct SplitObjective {
   }
 };
 
+PlanCache::Key plan_key(const query::AccuracySpec& spec, units::Probability p,
+                        std::size_t node_count, std::size_t total_count,
+                        std::size_t max_node_count, SensitivityPolicy policy) {
+  return {std::bit_cast<std::uint64_t>(spec.alpha.value()),
+          std::bit_cast<std::uint64_t>(spec.delta.value()),
+          std::bit_cast<std::uint64_t>(p.value()),
+          node_count,
+          total_count,
+          max_node_count,
+          static_cast<std::uint64_t>(policy)};
+}
+
+/// Stores a verdict; dp.plan_cache_evictions registers at the first store.
+void remember(PlanCache& cache, const PlanCache::Key& key,
+              const std::optional<PerturbationPlan>& verdict) {
+  static telemetry::Counter& evictions =
+      telemetry::counter("dp.plan_cache_evictions");
+  if (cache.put(key, verdict)) evictions.increment();
+}
+
 }  // namespace
 
 double PerturbationPlan::total_variance(std::size_t node_count) const {
@@ -82,12 +102,6 @@ PerturbationOptimizer::PerturbationOptimizer(OptimizerConfig config)
       << config_.refine_tolerance;
 }
 
-PerturbationOptimizer::~PerturbationOptimizer() = default;
-PerturbationOptimizer::PerturbationOptimizer(PerturbationOptimizer&&) noexcept =
-    default;
-PerturbationOptimizer& PerturbationOptimizer::operator=(
-    PerturbationOptimizer&&) noexcept = default;
-
 std::optional<PerturbationPlan> PerturbationOptimizer::optimize(
     const query::AccuracySpec& spec, units::Probability p,
     std::size_t node_count, std::size_t total_count,
@@ -98,26 +112,28 @@ std::optional<PerturbationPlan> PerturbationOptimizer::optimize(
       telemetry::counter("dp.optimize_infeasible");
   static telemetry::Histogram& epsilon_amplified_hist =
       telemetry::histogram("dp.epsilon_amplified");
-  static telemetry::Histogram& optimize_duration =
-      telemetry::histogram("dp.optimize_duration_us");
   spec.validate();
   PRC_CHECK_PROB(p);
   PRC_CHECK(node_count > 0 && total_count > 0)
       << "need node_count > 0 and total_count > 0";
-  PRC_TRACE_SPAN("dp.optimize");
-  telemetry::ScopedTimer optimize_timer(optimize_duration);
+  PRC_TIMED_SPAN("dp.optimize");
   optimize_calls.increment();
 
-  const auto key = PlanCacheKey::make(spec.alpha, spec.delta, p, node_count,
-                                      total_count, max_node_count,
-                                      config_.sensitivity_policy);
+  static telemetry::Counter& cache_hits =
+      telemetry::counter("dp.plan_cache_hits");
+  static telemetry::Counter& cache_misses =
+      telemetry::counter("dp.plan_cache_misses");
+  const auto key = plan_key(spec, p, node_count, total_count, max_node_count,
+                            config_.sensitivity_policy);
   if (auto cached = plan_cache_->lookup(key)) {
+    cache_hits.increment();
     // Bit-identical replay of the original search's verdict: no grid
     // evaluations, no amplification call, no histogram skew (the same
     // epsilon' the miss recorded is recorded again, once per answer).
     if (*cached) epsilon_amplified_hist.record((*cached)->epsilon_amplified);
     return *cached;
   }
+  cache_misses.increment();
 
   const double sensitivity =
       sensitivity_for(config_.sensitivity_policy, p, max_node_count);
@@ -127,7 +143,7 @@ std::optional<PerturbationPlan> PerturbationOptimizer::optimize(
       estimator::min_feasible_alpha(p, spec.delta, node_count, total_count);
   if (!(alpha_lo < spec.alpha)) {
     optimize_infeasible.increment();
-    plan_cache_->put(key, std::nullopt);
+    remember(*plan_cache_, key, std::nullopt);
     return std::nullopt;
   }
 
@@ -150,7 +166,7 @@ std::optional<PerturbationPlan> PerturbationOptimizer::optimize(
   } else {
     optimize_infeasible.increment();
   }
-  plan_cache_->put(key, best);
+  remember(*plan_cache_, key, best);
   return best;
 }
 

@@ -26,8 +26,8 @@
 //
 // The default strategy is that coarse-to-fine search; kExhaustiveGrid keeps
 // the original fixed uniform grid as a reference implementation for the
-// property tests.  Results are additionally memoized in a PlanCache (see
-// plan_cache.h) because a market re-plans the same few contracts constantly.
+// property tests.  Results are additionally memoized in a PlanCache because a
+// market re-plans the same few contracts constantly.
 #pragma once
 
 #include <cstddef>
@@ -35,12 +35,11 @@
 #include <optional>
 #include <string>
 
+#include "common/bit_keyed_lru.h"
 #include "dp/laplace_mechanism.h"
 #include "query/range_query.h"
 
 namespace prc::dp {
-
-class PlanCache;
 
 /// The optimizer's output: a concrete two-phase plan.
 struct PerturbationPlan {
@@ -61,6 +60,12 @@ struct PerturbationPlan {
 
   std::string to_string() const;
 };
+
+/// Memoized optimizer verdicts, "infeasible" (nullopt) included, keyed by
+/// the bit patterns of everything optimize() reads: (alpha, delta, p,
+/// node_count, total_count, max_node_count, sensitivity_policy).  A changed
+/// input is simply a different key, so no invalidation is ever needed.
+using PlanCache = BitKeyedLru<7, std::optional<PerturbationPlan>>;
 
 /// How optimize() searches the continuous alpha' domain.
 enum class SearchStrategy {
@@ -96,13 +101,9 @@ struct OptimizerConfig {
 
 class PerturbationOptimizer {
  public:
-  explicit PerturbationOptimizer(OptimizerConfig config = {});
-  ~PerturbationOptimizer();
-
   // The plan cache is identity-bearing state (shared across the threads
   // that hold this optimizer), so the optimizer is move-only.
-  PerturbationOptimizer(PerturbationOptimizer&&) noexcept;
-  PerturbationOptimizer& operator=(PerturbationOptimizer&&) noexcept;
+  explicit PerturbationOptimizer(OptimizerConfig config = {});
 
   /// Finds the minimum-epsilon' plan, or nullopt when no alpha' split is
   /// feasible at this sampling probability (the caller must raise p first).

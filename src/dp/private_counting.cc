@@ -108,11 +108,8 @@ PrivateAnswer PrivateRangeCounter::answer(const query::RangeQuery& range,
       telemetry::gauge("dp.epsilon_spent_total");
   static telemetry::Histogram& laplace_scale_hist =
       telemetry::histogram("dp.laplace_scale");
-  static telemetry::Histogram& answer_duration =
-      telemetry::histogram("dp.answer_duration_us");
   range.validate();
-  PRC_TRACE_SPAN("dp.answer");
-  telemetry::ScopedTimer answer_timer(answer_duration);
+  PRC_TIMED_SPAN("dp.answer");
   // One release at a time: the noise stream stays serial and the top-up
   // below never interleaves with another seller's.
   std::lock_guard<std::mutex> lock(mutex_);

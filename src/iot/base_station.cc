@@ -363,6 +363,13 @@ BaseStation BaseStation::deserialize(const std::vector<std::uint8_t>& bytes) {
     throw std::invalid_argument("checkpoint: zero nodes");
   }
   const double p = read_f64(bytes, offset);
+  // Each node takes at least 13 bytes (reported flag, probability, frame
+  // length): refuse a count the body cannot hold before allocating the
+  // per-node entries it claims.
+  constexpr std::size_t kMinNodeBytes = 1 + 8 + 4;
+  if (node_count > (bytes.size() - offset) / kMinNodeBytes) {
+    throw std::invalid_argument("checkpoint: node count exceeds body");
+  }
 
   BaseStation station(node_count);
   for (std::uint32_t i = 0; i < node_count; ++i) {

@@ -103,9 +103,7 @@ RoundReport SimulatedNetwork::run_round(double p, const NodeStep& step,
     return report;
   }
 
-  PRC_TRACE_SPAN("iot.round");
-  telemetry::ScopedTimer round_timer(
-      telemetry::histogram("iot.round_duration_us"));
+  PRC_TIMED_SPAN("iot.round");
   const CommunicationStats before = stats_;
   // Churn state is frozen for the rest of the round: lanes only read it.
   link_.faults().begin_round();

@@ -11,25 +11,12 @@
 #include "pricing/arbitrage.h"
 
 namespace prc::market {
-namespace {
-
-// Validated before the member init list dereferences it for the quote
-// cache's bound reference.
-std::unique_ptr<pricing::PricingFunction> require_pricing(
-    std::unique_ptr<pricing::PricingFunction> pricing) {
-  PRC_CHECK(pricing != nullptr) << "broker needs a pricing function";
-  return pricing;
-}
-
-}  // namespace
 
 DataBroker::DataBroker(dp::PrivateRangeCounter& counter,
                        std::unique_ptr<pricing::PricingFunction> pricing,
                        BrokerConfig config)
-    : counter_(counter),
-      pricing_(require_pricing(std::move(pricing))),
-      config_(config),
-      quote_cache_(*pricing_, config.quote_cache_capacity) {
+    : counter_(counter), pricing_(std::move(pricing)), config_(config) {
+  PRC_CHECK(pricing_ != nullptr) << "broker needs a pricing function";
   PRC_CHECK(config_.per_consumer_epsilon_cap > 0.0)
       << "per-consumer epsilon cap must be positive, got "
       << config_.per_consumer_epsilon_cap;
@@ -40,7 +27,7 @@ DataBroker::DataBroker(dp::PrivateRangeCounter& counter,
 double DataBroker::quote(const query::AccuracySpec& spec) const {
   static telemetry::Counter& quotes = telemetry::counter("market.quotes");
   quotes.increment();
-  const double price = quote_cache_.price(spec);
+  const double price = pricing::cached_price(quote_cache_, *pricing_, spec);
   AuditEvent event;
   event.type = AuditEventType::kQuote;
   event.alpha = spec.alpha;
@@ -231,8 +218,6 @@ PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
   static telemetry::Counter& sale_attempts =
       telemetry::counter("market.sale_attempts");
   static telemetry::Counter& sales = telemetry::counter("market.sales");
-  static telemetry::Histogram& sell_duration =
-      telemetry::histogram("market.sell_duration_us");
   static telemetry::Histogram& sale_price_hist =
       telemetry::histogram("market.sale_price");
   static telemetry::Histogram& sale_epsilon_hist =
@@ -241,8 +226,7 @@ PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
       telemetry::gauge("market.revenue_total");
   static telemetry::Gauge& epsilon_spent_total =
       telemetry::gauge("market.epsilon_spent_total");
-  PRC_TRACE_SPAN("market.sell");
-  telemetry::ScopedTimer sell_timer(sell_duration);
+  PRC_TIMED_SPAN("market.sell");
   sale_attempts.increment();
   PRC_CRASH_POINT("broker.begin_sale");
   // Check the budget against the projected plan BEFORE computing the
@@ -351,7 +335,7 @@ PurchaseReceipt DataBroker::sell(const std::string& consumer_id,
   // through the quote cache, so an attacker's m-th copy of one weakened
   // contract costs a hash lookup and is guaranteed the exact price the
   // first copy paid.
-  receipt.price = quote_cache_.price(sold_spec);
+  receipt.price = pricing::cached_price(quote_cache_, *pricing_, sold_spec);
   // Lemma 4.1 precondition for everything downstream: a non-positive or
   // non-finite price breaks both the revenue accounting and the arbitrage
   // argument (a free contract can be averaged into any stronger one).

@@ -19,7 +19,6 @@
 #include "market/ledger.h"
 #include "market/wal.h"
 #include "pricing/pricing.h"
-#include "pricing/quote_cache.h"
 #include "query/range_query.h"
 
 namespace prc::market {
@@ -90,10 +89,6 @@ struct BrokerConfig {
   /// guarantee survives power/kernel loss, not just process death (see
   /// wal::SyncMode).  Compaction fsyncs around its rename either way.
   bool wal_fsync = false;
-  /// Entries held by the broker's memoized quote cache (prices are pure in
-  /// the contract, so quote() and receipt pricing re-use earlier
-  /// evaluations bit-identically).  0 disables memoization.
-  std::size_t quote_cache_capacity = 1024;
 };
 
 /// What a consumer receives for their money.
@@ -208,9 +203,10 @@ class DataBroker {
   dp::PrivateRangeCounter& counter_;
   std::unique_ptr<pricing::PricingFunction> pricing_;
   BrokerConfig config_;
-  /// Memoizes *pricing_ (declared after it; same lifetime).  Shared by
-  /// concurrent consumers — QuoteCache carries its own mutex.
-  pricing::QuoteCache quote_cache_;
+  /// Memoizes *pricing_ for quote() and receipt pricing, 1024 contracts
+  /// deep.  Shared by concurrent consumers — QuoteCache carries its own
+  /// mutex.
+  mutable pricing::QuoteCache quote_cache_{1024};
   Ledger ledger_;
   std::unique_ptr<wal::WriteAheadLog> wal_;
   /// Checkpoint cadence counter: an over- or under-count by one merely

@@ -51,9 +51,12 @@ std::size_t Ledger::record_locked(Transaction transaction) {
              1e-9 * (1.0 + total_epsilon_ + total_revenue_))
       << "ledger lost track of released budget: discrepancy "
       << conservation_discrepancy_locked();
-  telemetry::counter("market.ledger_transactions").increment();
-  telemetry::gauge("market.ledger_conservation_discrepancy")
-      .set(conservation_discrepancy_locked());
+  static telemetry::Counter& ledger_transactions =
+      telemetry::counter("market.ledger_transactions");
+  static telemetry::Gauge& conservation_discrepancy =
+      telemetry::gauge("market.ledger_conservation_discrepancy");
+  ledger_transactions.increment();
+  conservation_discrepancy.set(conservation_discrepancy_locked());
   return transactions_.back().sequence;
 }
 
@@ -253,7 +256,9 @@ void Ledger::absorb_orphaned(const std::string& consumer_id,
   total_epsilon_ += epsilon.value();
   orphaned_epsilon_ += epsilon.value();
   epsilon_by_consumer_[consumer_id] += epsilon.value();
-  telemetry::gauge("market.ledger_orphaned_epsilon").set(orphaned_epsilon_);
+  static telemetry::Gauge& orphaned_gauge =
+      telemetry::gauge("market.ledger_orphaned_epsilon");
+  orphaned_gauge.set(orphaned_epsilon_);
 }
 
 }  // namespace prc::market

@@ -491,8 +491,11 @@ void WriteAheadLog::append_bytes_locked(const std::vector<std::uint8_t>& bytes) 
   if (sync_mode_ == SyncMode::kMediaDurable) fsync_or_die(fd_, path_);
   ++records_appended_;
   bytes_appended_ += bytes.size();
-  telemetry::counter("market.wal_records").increment();
-  telemetry::counter("market.wal_bytes").increment(bytes.size());
+  static telemetry::Counter& wal_records =
+      telemetry::counter("market.wal_records");
+  static telemetry::Counter& wal_bytes = telemetry::counter("market.wal_bytes");
+  wal_records.increment();
+  wal_bytes.increment(bytes.size());
 }
 
 std::uint64_t WriteAheadLog::append_intent(IntentRecord record) {
@@ -521,7 +524,9 @@ void WriteAheadLog::append_checkpoint(const LedgerSnapshot& snapshot) {
   // snapshot and its durable write.
   append_bytes_locked(  // lint:allow blocking
       encode_checkpoint(snapshot, next_sequence_++));
-  telemetry::counter("market.wal_checkpoints").increment();
+  static telemetry::Counter& wal_checkpoints =
+      telemetry::counter("market.wal_checkpoints");
+  wal_checkpoints.increment();
 }
 
 }  // namespace prc::market::wal

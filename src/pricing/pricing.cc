@@ -1,6 +1,7 @@
 #include "pricing/pricing.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -17,6 +18,26 @@ constexpr double kAuditAlpha[] = {0.05, 0.2, 0.5, 0.9};
 constexpr double kAuditDelta[] = {0.05, 0.3, 0.6, 0.9};
 
 }  // namespace
+
+double cached_price(QuoteCache& cache, const PricingFunction& pricing,
+                    const query::AccuracySpec& spec) {
+  static telemetry::Counter& hits =
+      telemetry::counter("pricing.quote_cache_hits");
+  static telemetry::Counter& misses =
+      telemetry::counter("pricing.quote_cache_misses");
+  const QuoteCache::Key key{std::bit_cast<std::uint64_t>(spec.alpha.value()),
+                            std::bit_cast<std::uint64_t>(spec.delta.value())};
+  if (const auto price = cache.lookup(key)) {
+    hits.increment();
+    return *price;
+  }
+  misses.increment();
+  // Two racing misses compute the identical double; the losing put keeps
+  // the incumbent.
+  const double price = pricing.price(spec);
+  cache.put(key, price);
+  return price;
+}
 
 void validate_arbitrage_conditions(const VarianceModel& model,
                                    const PricingFunction& pricing) {

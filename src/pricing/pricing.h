@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bit_keyed_lru.h"
 #include "pricing/variance_model.h"
 #include "query/range_query.h"
 
@@ -39,6 +40,19 @@ class PricingFunction {
 
   virtual std::string name() const = 0;
 };
+
+/// Memoized prices keyed by the bit patterns of (alpha, delta).  Prices are
+/// pure functions of the contract (nothing time-varying feeds psi(V)), so a
+/// hit returns exactly the double the miss computed and receipts cannot
+/// drift between cached and direct pricing, at any thread count.
+using QuoteCache = BitKeyedLru<2, double>;
+
+/// `pricing.price(spec)`, served from `cache` when this exact contract was
+/// priced before; counts pricing.quote_cache_hits / _misses.  A miss is
+/// priced outside the cache lock, so concurrent consumers never serialize
+/// on the pricing function.  `pricing` must be thread-safe.
+double cached_price(QuoteCache& cache, const PricingFunction& pricing,
+                    const query::AccuracySpec& spec);
 
 /// Contract audit for a pricing function that claims to sit in the
 /// Theorem 4.2 family psi(V) = c / V.  Evaluates a coarse (alpha, delta)

@@ -70,6 +70,15 @@ TEST(CheckpointTest, RejectsVersionMismatch) {
   EXPECT_THROW(BaseStation::deserialize(bytes), std::invalid_argument);
 }
 
+TEST(CheckpointTest, RejectsNodeCountTheBodyCannotHold) {
+  // A valid magic/version header whose node count (bytes 8..11) claims
+  // 2^32 - 1 nodes over a one-node body: refused before any per-node
+  // allocation, not after reserving ~200 GB of entries.
+  auto bytes = BaseStation(1).serialize();
+  for (std::size_t i = 8; i < 12; ++i) bytes[i] = 0xFF;
+  EXPECT_THROW(BaseStation::deserialize(bytes), std::invalid_argument);
+}
+
 TEST(CheckpointTest, CorruptedFrameIsDetected) {
   FlatNetwork network(grid_node_data(2, 200));
   network.ensure_sampling_probability(0.5);

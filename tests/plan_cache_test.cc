@@ -12,7 +12,6 @@
 
 #include "common/telemetry.h"
 #include "dp/optimizer.h"
-#include "dp/plan_cache.h"
 #include "query/range_query.h"
 
 namespace prc::dp {
@@ -39,9 +38,9 @@ void expect_bit_identical(const PerturbationPlan& a, const PerturbationPlan& b) 
   EXPECT_EQ(bits(a.sampling_probability), bits(b.sampling_probability));
 }
 
-PlanCacheKey key_for(double alpha, double delta, double p) {
-  return PlanCacheKey::make(alpha, delta, p, kNodes, kTotal, 0,
-                            SensitivityPolicy::kExpected);
+PlanCache::Key key_for(double alpha, double delta, double p) {
+  return {bits(alpha), bits(delta), bits(p), kNodes, kTotal, 0,
+          static_cast<std::uint64_t>(SensitivityPolicy::kExpected)};
 }
 
 std::optional<PerturbationPlan> plan_for(double alpha, double delta, double p) {
@@ -113,25 +112,33 @@ TEST(PlanCacheTest, InfeasibleVerdictIsCachedWithoutRecounting) {
 
 TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
   PlanCache cache(2);
-  auto& evictions = telemetry::counter("dp.plan_cache_evictions");
-  const auto evictions0 = evictions.value();
-
   const auto k1 = key_for(0.05, 0.8, 0.3);
   const auto k2 = key_for(0.06, 0.8, 0.3);
   const auto k3 = key_for(0.07, 0.8, 0.3);
-  cache.put(k1, plan_for(0.05, 0.8, 0.3));
-  cache.put(k2, plan_for(0.06, 0.8, 0.3));
+  EXPECT_FALSE(cache.put(k1, plan_for(0.05, 0.8, 0.3)));
+  EXPECT_FALSE(cache.put(k2, plan_for(0.06, 0.8, 0.3)));
   EXPECT_EQ(cache.size(), 2u);
 
   // Touch k1 so k2 becomes the LRU entry, then insert k3.
   EXPECT_TRUE(cache.lookup(k1).has_value());
-  cache.put(k3, plan_for(0.07, 0.8, 0.3));
+  EXPECT_TRUE(cache.put(k3, plan_for(0.07, 0.8, 0.3)));
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(evictions.value(), evictions0 + 1);
 
   EXPECT_TRUE(cache.lookup(k1).has_value());
   EXPECT_FALSE(cache.lookup(k2).has_value());
   EXPECT_TRUE(cache.lookup(k3).has_value());
+
+  // The optimizer counts the evictions its own cache reports.
+  OptimizerConfig config;
+  config.plan_cache_capacity = 2;
+  const PerturbationOptimizer optimizer(config);
+  auto& evictions = telemetry::counter("dp.plan_cache_evictions");
+  const auto evictions0 = evictions.value();
+  (void)optimizer.optimize({0.05, 0.8}, 0.3, kNodes, kTotal);
+  (void)optimizer.optimize({0.06, 0.8}, 0.3, kNodes, kTotal);
+  EXPECT_EQ(evictions.value(), evictions0);
+  (void)optimizer.optimize({0.07, 0.8}, 0.3, kNodes, kTotal);
+  EXPECT_EQ(evictions.value(), evictions0 + 1);
 }
 
 TEST(PlanCacheTest, RacingPutKeepsTheIncumbent) {
@@ -141,8 +148,8 @@ TEST(PlanCacheTest, RacingPutKeepsTheIncumbent) {
   ASSERT_TRUE(plan.has_value());
   cache.put(k1, plan);
   // A second put for the same key (the losing racer) must not duplicate
-  // the entry or replace the incumbent's bytes.
-  cache.put(k1, plan);
+  // the entry, replace the incumbent's bytes, or report an eviction.
+  EXPECT_FALSE(cache.put(k1, plan_for(0.06, 0.8, 0.3)));
   EXPECT_EQ(cache.size(), 1u);
   const auto cached = cache.lookup(k1);
   ASSERT_TRUE(cached.has_value());

@@ -18,7 +18,6 @@
 #include "iot/network.h"
 #include "market/broker.h"
 #include "pricing/pricing.h"
-#include "pricing/quote_cache.h"
 #include "pricing/variance_model.h"
 
 namespace prc::pricing {
@@ -39,7 +38,7 @@ std::uint64_t bits(double value) {
 
 TEST(QuoteCacheTest, HitReturnsTheExactMissPrice) {
   const auto pricing = make_pricing();
-  const QuoteCache cache(pricing, 16);
+  QuoteCache cache(16);
   auto& hits = telemetry::counter("pricing.quote_cache_hits");
   auto& misses = telemetry::counter("pricing.quote_cache_misses");
   auto& quotes = telemetry::counter("pricing.quotes");
@@ -49,11 +48,11 @@ TEST(QuoteCacheTest, HitReturnsTheExactMissPrice) {
   const auto misses0 = misses.value();
 
   const double direct = pricing.price(spec);
-  const double first = cache.price(spec);
+  const double first = cached_price(cache, pricing, spec);
   EXPECT_EQ(misses.value(), misses0 + 1);
 
   const auto quotes1 = quotes.value();
-  const double second = cache.price(spec);
+  const double second = cached_price(cache, pricing, spec);
   EXPECT_EQ(hits.value(), hits0 + 1);
   // The hit did not evaluate the pricing function again.
   EXPECT_EQ(quotes.value(), quotes1);
@@ -63,33 +62,33 @@ TEST(QuoteCacheTest, HitReturnsTheExactMissPrice) {
 
 TEST(QuoteCacheTest, EvictsLeastRecentlyUsed) {
   const auto pricing = make_pricing();
-  const QuoteCache cache(pricing, 2);
+  QuoteCache cache(2);
   auto& misses = telemetry::counter("pricing.quote_cache_misses");
 
   const query::AccuracySpec a{0.05, 0.8};
   const query::AccuracySpec b{0.06, 0.8};
   const query::AccuracySpec c{0.07, 0.8};
-  (void)cache.price(a);
-  (void)cache.price(b);
-  (void)cache.price(a);  // refresh a: b is now the LRU entry
-  (void)cache.price(c);  // evicts b
+  (void)cached_price(cache, pricing, a);
+  (void)cached_price(cache, pricing, b);
+  (void)cached_price(cache, pricing, a);  // refresh a: b is now the LRU entry
+  (void)cached_price(cache, pricing, c);  // evicts b
   EXPECT_EQ(cache.size(), 2u);
 
   const auto misses0 = misses.value();
-  (void)cache.price(a);  // still cached
+  (void)cached_price(cache, pricing, a);  // still cached
   EXPECT_EQ(misses.value(), misses0);
-  (void)cache.price(b);  // evicted: must re-price
+  (void)cached_price(cache, pricing, b);  // evicted: must re-price
   EXPECT_EQ(misses.value(), misses0 + 1);
 }
 
 TEST(QuoteCacheTest, CapacityZeroDisablesMemoization) {
   const auto pricing = make_pricing();
-  const QuoteCache cache(pricing, 0);
+  QuoteCache cache(0);
   auto& misses = telemetry::counter("pricing.quote_cache_misses");
   const auto misses0 = misses.value();
   const query::AccuracySpec spec{0.07, 0.8};
-  const double first = cache.price(spec);
-  const double second = cache.price(spec);
+  const double first = cached_price(cache, pricing, spec);
+  const double second = cached_price(cache, pricing, spec);
   EXPECT_EQ(misses.value(), misses0 + 2);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(bits(first), bits(second));
@@ -97,7 +96,7 @@ TEST(QuoteCacheTest, CapacityZeroDisablesMemoization) {
 
 TEST(QuoteCacheTest, ConcurrentPricingMatchesDirectPricing) {
   const auto pricing = make_pricing();
-  const QuoteCache cache(pricing, 8);
+  QuoteCache cache(8);
   std::vector<query::AccuracySpec> specs;
   std::vector<double> expected;
   Rng rng(99);
@@ -116,8 +115,8 @@ TEST(QuoteCacheTest, ConcurrentPricingMatchesDirectPricing) {
         const std::size_t index = (t * 7 + i) % specs.size();
         // Bit-pattern equality IS the property under test: a cached price
         // must be the exact double direct pricing computes.
-        if (bits(cache.price(specs[index])) !=  // lint:allow float-eq
-            bits(expected[index])) {
+        const double price = cached_price(cache, pricing, specs[index]);
+        if (bits(price) != bits(expected[index])) {  // lint:allow float-eq
           ++mismatches[t];
         }
       }

@@ -1,5 +1,5 @@
 // Span tracer: nesting (parent/child/depth), completion ordering, ring
-// eviction, enable/disable, and the flamegraph text dump.
+// eviction, enable/disable, the flamegraph text dump, and timed spans.
 
 #include "common/trace.h"
 
@@ -9,6 +9,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/telemetry.h"
 
 namespace prc::trace {
 namespace {
@@ -151,6 +153,46 @@ TEST_F(TraceTest, ClearResetsSpansAndDropCount) {
   Tracer::instance().clear();
   EXPECT_TRUE(Tracer::instance().snapshot().empty());
   EXPECT_EQ(Tracer::instance().dropped(), 0u);
+}
+
+TEST_F(TraceTest, TimedSpanRecordsElapsedMicroseconds) {
+  telemetry::Telemetry registry;
+  auto& hist = registry.histogram("timer.us");
+
+  // Tracer off: exactly one histogram sample per scope, nothing in the ring.
+  Tracer::instance().set_enabled(false);
+  { ScopedSpan span("timed", &hist); }
+  auto snap = hist.snapshot();
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_GE(snap.min, 0.0);
+  EXPECT_LT(snap.max, 1e6);  // an empty scope takes far less than a second
+  EXPECT_TRUE(Tracer::instance().snapshot().empty());
+
+  // Tracer on: the sample is the ring record's own duration, so the span
+  // and the histogram share one clock pair.
+  Tracer::instance().set_enabled(true);
+  hist.reset();
+  { ScopedSpan span("timed", &hist); }
+  snap = hist.snapshot();
+  const auto spans = Tracer::instance().snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_EQ(snap.sum, static_cast<double>(spans[0].duration_ns) / 1000.0);
+}
+
+TEST_F(TraceTest, TimedSpanMacroFeedsTheDurationHistogram) {
+  auto& hist = telemetry::histogram("trace_test.scope_duration_us");
+  const auto before = hist.snapshot().count;
+  for (int i = 0; i < 3; ++i) {
+    PRC_TIMED_SPAN("trace_test.scope");
+  }
+  EXPECT_EQ(hist.snapshot().count, before + 3);
+  const auto spans = Tracer::instance().snapshot();
+  EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                          [](const SpanRecord& span) {
+                            return span.name == "trace_test.scope";
+                          }),
+            3);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@ RULES = {
     "checked-byte-access":           ("index",),
     "no-raw-samples-in-telemetry":   ("telemetry",),
     "no-telemetry-lookup-in-loop":   ("telemetry-lookup",),
+    "no-telemetry-lookup-under-lock": ("telemetry-lookup",),
     "no-raw-to-sink":                ("raw-sink",),
     "lock-discipline":               ("lock",),
     "unit-suffix-consistency":       ("unit-suffix",),

@@ -395,9 +395,9 @@ def _call_resolver(summaries):
     name-merged call graph before lock edges are drawn from it.  A bare
     name prefers candidates in the caller's own class, then the caller's
     own file, and only then falls back to the global merge — so
-    `entries_.size()` inside PlanCache::insert resolves to PlanCache's
+    `entries_.size()` inside BitKeyedLru::put resolves to BitKeyedLru's
     own `size()` (a self-edge, which call edges drop) instead of wiring
-    PlanCache::mutex_ to every OTHER class whose `size()` locks.
+    BitKeyedLru::mutex_ to every OTHER class whose `size()` locks.
     Ubiquitous accessor names are never followed at all: almost every
     occurrence is a container/value accessor, and one collision with a
     locking method threads fictional edges across the whole graph."""
@@ -738,8 +738,8 @@ def check_blocking_under_lock(summaries, fields_by_stem, allows_by_path):
                 f"`{mutexes}` — a PRC_GUARDED_BY mutex — is held; every "
                 "reader of the guarded data queues behind the slow "
                 "operation.  Stage outside the lock and commit under it "
-                "(QuoteCache-style), or add `// lint:allow blocking` with "
-                "a justification if the hold is load-bearing",
+                "(as pricing::cached_price does), or add `// lint:allow "
+                "blocking` with a justification if the hold is load-bearing",
                 function=s.name))
         seen = set()
         for c in s.calls:

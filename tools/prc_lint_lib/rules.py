@@ -205,6 +205,26 @@ def check_raw_samples_in_telemetry(model):
     return findings
 
 
+TELEMETRY_LOOKUPS = ("counter", "histogram", "gauge")
+LOCK_TYPES = {"lock_guard", "unique_lock", "scoped_lock"}
+
+
+def _telemetry_lookup_at(toks, i):
+    """True when tokens[i] opens a name-keyed `telemetry::counter/gauge/
+    histogram(` registry lookup."""
+    return toks[i].kind == "ident" and toks[i].text == "telemetry" \
+        and i + 3 < len(toks) and toks[i + 1].text == "::" \
+        and toks[i + 2].text in TELEMETRY_LOOKUPS \
+        and toks[i + 3].text == "("
+
+
+def _static_initializer(model, i):
+    """True when tokens[i] sits in a `static ... = ...` declaration, which
+    resolves the name once per process."""
+    return any(s.text == "static"
+               for s in model.tokens[model.segment_start(i):i])
+
+
 def check_telemetry_lookup_in_loop(model):
     findings = []
     toks = model.tokens
@@ -235,15 +255,9 @@ def check_telemetry_lookup_in_loop(model):
                 depth -= 1
                 while loop_depths and depth <= loop_depths[-1]:
                     loop_depths.pop()
-            if t.kind == "ident" and t.text == "telemetry" \
-                    and (loop_depths or pending_loop or in_loop_header) \
-                    and i + 3 < len(toks) \
-                    and toks[i + 1].text == "::" \
-                    and toks[i + 2].text in ("counter", "histogram", "gauge") \
-                    and toks[i + 3].text == "(":
-                seg_start = model.segment_start(i)
-                if any(s.text == "static"
-                       for s in toks[seg_start:i]):
+            if (loop_depths or pending_loop or in_loop_header) \
+                    and _telemetry_lookup_at(toks, i):
+                if _static_initializer(model, i):
                     continue
                 findings.append(Finding(
                     "no-telemetry-lookup-in-loop", model.path, t.line,
@@ -254,6 +268,44 @@ def check_telemetry_lookup_in_loop(model):
                     "process-lifetime stable) or add `// lint:allow "
                     "telemetry-lookup` with a justification",
                     function=func.name))
+    return findings
+
+
+def check_telemetry_lookup_under_lock(model):
+    """A name-keyed registry lookup while a mutex is held: inside a
+    `_locked` helper (the caller holds the lock), or after a lock_guard /
+    unique_lock / scoped_lock declaration in a block still open."""
+    findings = []
+    toks = model.tokens
+    for func in model.functions:
+        whole_body = func.name.endswith("_locked")
+        depth = 0
+        lock_depths = []   # brace depth of each live lock declaration
+        for i in range(func.body_start + 1, func.body_end):
+            t = toks[i]
+            if t.text == "{":
+                depth += 1
+            elif t.text == "}":
+                depth -= 1
+                while lock_depths and lock_depths[-1] > depth:
+                    lock_depths.pop()
+            elif t.kind == "ident" and t.text in LOCK_TYPES:
+                lock_depths.append(depth)
+            elif t.kind == "ident" and t.text == "unlock" \
+                    and toks[i - 1].text in (".", "->") and lock_depths:
+                lock_depths.pop()
+            if not (whole_body or lock_depths) \
+                    or not _telemetry_lookup_at(toks, i) \
+                    or _static_initializer(model, i):
+                continue
+            findings.append(Finding(
+                "no-telemetry-lookup-under-lock", model.path, t.line,
+                "name-keyed telemetry lookup while a mutex is held re-hashes "
+                "the name and takes the registry lock inside the critical "
+                "section; hoist it into a `static telemetry::Counter& ... = "
+                "telemetry::counter(...)` or add `// lint:allow "
+                "telemetry-lookup` with a justification",
+                function=func.name))
     return findings
 
 
@@ -345,5 +397,6 @@ def check_unbarriered_mint(model):
 
 TOKEN_RULES = (check_raw_random, check_bare_assert, check_float_eq_budget,
                check_byte_access, check_raw_samples_in_telemetry,
-               check_telemetry_lookup_in_loop, check_unit_suffix_consistency,
+               check_telemetry_lookup_in_loop,
+               check_telemetry_lookup_under_lock, check_unit_suffix_consistency,
                check_unbarriered_mint)
