@@ -223,13 +223,13 @@ void parallel_for(std::size_t n,
   // never more blocks than items.
   constexpr std::size_t kBlocksPerThread = 4;
   job.blocks = std::min(n, threads * kBlocksPerThread);
-  std::lock_guard<std::mutex> lock(pool_mutex());
+  std::lock_guard<std::mutex> pool_lock(pool_mutex());
   shared_pool().run(job);
   // Workers are all out of the job once run() returns, but the compiler
   // cannot see that: read the slot under its own mutex.
   std::exception_ptr error;
   {
-    std::lock_guard<std::mutex> lock(job.error_mutex);
+    std::lock_guard<std::mutex> error_lock(job.error_mutex);
     error = job.error;
   }
   if (error) std::rethrow_exception(error);

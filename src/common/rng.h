@@ -41,11 +41,25 @@ class Rng {
     return std::numeric_limits<result_type>::max();
   }
 
-  /// Next 64 uniformly random bits.
-  result_type operator()() noexcept;
+  /// Next 64 uniformly random bits.  Inline, like uniform() and
+  /// bernoulli(): samplers call them once per element in their hot loops.
+  result_type operator()() noexcept {
+    const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double uniform() noexcept;
+  double uniform() noexcept {
+    // 53 high bits -> double in [0, 1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).  Requires lo <= hi.
   double uniform(double lo, double hi) noexcept;
@@ -54,7 +68,11 @@ class Rng {
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
 
   /// Bernoulli trial with success probability `p` (clamped to [0, 1]).
-  bool bernoulli(double p) noexcept;
+  bool bernoulli(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform() < p;
+  }
 
   /// Derives an independent child generator.  Children produced by distinct
   /// calls have statistically independent streams; this is how per-node /
@@ -62,6 +80,10 @@ class Rng {
   Rng split() noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_;
 };
 

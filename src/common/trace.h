@@ -9,7 +9,10 @@
 //   market.sell -> dp.answer -> { iot.round, dp.optimize }.
 // Completed spans land in a bounded ring buffer (oldest dropped first);
 // Tracer::flame_text() renders the buffer as an indented, flamegraph-style
-// text dump and prc_query --trace prints it after a run.
+// text dump and prc_query --trace prints it after a run.  The tracer starts
+// disabled, so a process that never reads the ring pays nothing for it;
+// prc_query turns it on for --trace / --trace-json.  The duration
+// histograms of PRC_TIMED_SPAN are fed either way.
 //
 // Clocks are std::chrono::steady_clock; span names must be string literals
 // (or otherwise outlive the span).  Only operation NAMES and durations are
@@ -47,7 +50,8 @@ struct SpanRecord {
 
 class Tracer {
  public:
-  /// The process-wide tracer (enabled by default, capacity 4096 spans).
+  /// The process-wide tracer (disabled until set_enabled(true), capacity
+  /// 4096 spans).
   static Tracer& instance();
 
   void set_enabled(bool enabled) noexcept {
@@ -97,7 +101,7 @@ class Tracer {
   // enabled_ is a sampling on/off latch (spans racing a toggle may or
   // may not record — both legal); next_id_ is a relaxed unique-id
   // fountain, uniqueness needs atomicity, not ordering.
-  std::atomic<bool> enabled_{true};       // lint:allow atomic
+  std::atomic<bool> enabled_{false};      // lint:allow atomic
   std::atomic<std::uint64_t> next_id_{0};  // lint:allow atomic
   std::int64_t epoch_ns_ = 0;
   mutable std::mutex mutex_;

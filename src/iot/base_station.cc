@@ -62,7 +62,7 @@ std::size_t BaseStation::total_data_count_locked() const {
 std::size_t BaseStation::cached_sample_count() const noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t total = 0;
-  for (const auto& entry : entries_) total += entry.samples.size();
+  for (const auto& entry : entries_) total += entry.samples->size();
   return total;
 }
 
@@ -126,17 +126,23 @@ CoverageSummary BaseStation::coverage_locked() const {
   return summary;
 }
 
-void BaseStation::ingest(const SampleReport& report) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (report.node_id < 0 ||
-      static_cast<std::size_t>(report.node_id) >= entries_.size()) {
+BaseStation::NodeEntry& BaseStation::entry_locked(int node_id) {
+  if (node_id < 0 || static_cast<std::size_t>(node_id) >= entries_.size()) {
     throw std::out_of_range("sample report from unknown node");
   }
-  auto& entry = entries_[static_cast<std::size_t>(report.node_id)];
+  return entries_[static_cast<std::size_t>(node_id)];
+}
+
+void BaseStation::ingest(const SampleReport& report) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto& entry = entry_locked(report.node_id);
   entry.data_count = report.data_count;
   entry.reported = true;
   if (!report.new_samples.empty()) {
-    entry.samples.merge(sampling::RankSampleSet(report.new_samples));
+    // A fresh set, never an in-place merge: estimates may still hold the
+    // old one.
+    entry.samples = std::make_shared<const sampling::RankSampleSet>(
+        entry.samples->merged(sampling::RankSampleSet(report.new_samples)));
   }
   static telemetry::Counter& reports_ingested =
       telemetry::counter("iot.station.reports_ingested");
@@ -144,19 +150,15 @@ void BaseStation::ingest(const SampleReport& report) {
 }
 
 void BaseStation::replace(const SampleReport& full_report) {
+  SharedSamples samples =
+      std::make_shared<const sampling::RankSampleSet>(full_report.new_samples);
   std::lock_guard<std::mutex> lock(mutex_);
-  replace_locked(full_report);
-}
-
-void BaseStation::replace_locked(const SampleReport& full_report) {
-  if (full_report.node_id < 0 ||
-      static_cast<std::size_t>(full_report.node_id) >= entries_.size()) {
-    throw std::out_of_range("sample report from unknown node");
-  }
-  auto& entry = entries_[static_cast<std::size_t>(full_report.node_id)];
+  auto& entry = entry_locked(full_report.node_id);
   entry.data_count = full_report.data_count;
   entry.reported = true;
-  entry.samples = sampling::RankSampleSet(full_report.new_samples);
+  // The old set is released on return, after the lock: `samples` is
+  // destroyed last.
+  std::swap(entry.samples, samples);
   static telemetry::Counter& cache_replacements =
       telemetry::counter("iot.station.cache_replacements");
   cache_replacements.increment();
@@ -189,7 +191,7 @@ void BaseStation::commit_round_locked(double p,
     if (refreshed[i]) {
       entries_[i].probability = std::max(entries_[i].probability, p);
     }
-    cached += entries_[i].samples.size();
+    cached += entries_[i].samples->size();
   }
   static telemetry::Counter& rounds_committed =
       telemetry::counter("iot.station.rounds_committed");
@@ -212,7 +214,7 @@ std::vector<estimator::NodeSampleView> BaseStation::node_views_locked() const {
   views.reserve(entries_.size());
   for (const auto& entry : entries_) {
     views.push_back(
-        estimator::NodeSampleView{&entry.samples, entry.data_count});
+        estimator::NodeSampleView{entry.samples.get(), entry.data_count});
   }
   return views;
 }
@@ -222,7 +224,8 @@ std::vector<estimator::NodeSampleView> BaseStation::EstimateSnapshot::views()
   std::vector<estimator::NodeSampleView> views;
   views.reserve(samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    views.push_back(estimator::NodeSampleView{&samples[i], data_counts[i]});
+    views.push_back(
+        estimator::NodeSampleView{samples[i].get(), data_counts[i]});
   }
   return views;
 }
@@ -264,7 +267,7 @@ double BaseStation::basic_counting_estimate(
   PRC_CHECK(p_ > 0.0) << "no sampling round committed yet";
   std::vector<const sampling::RankSampleSet*> nodes;
   nodes.reserve(entries_.size());
-  for (const auto& entry : entries_) nodes.push_back(&entry.samples);
+  for (const auto& entry : entries_) nodes.push_back(entry.samples.get());
   return estimator::basic_counting_estimate(nodes, p_, range);
 }
 
@@ -339,7 +342,7 @@ std::vector<std::uint8_t> BaseStation::serialize() const {
     SampleReport report;
     report.node_id = static_cast<int>(i);
     report.data_count = entry.data_count;
-    report.new_samples = entry.samples.samples();
+    report.new_samples = entry.samples->samples();
     const auto frame = encode(report);
     append_u32(out, static_cast<std::uint32_t>(frame.size()));
     out.insert(out.end(), frame.begin(), frame.end());
@@ -391,8 +394,8 @@ BaseStation BaseStation::deserialize(const std::vector<std::uint8_t>& bytes) {
     offset += frame_size;
     const SampleReport report = decode_sample_report(frame);
     if (reported) {
+      station.replace(report);
       std::lock_guard<std::mutex> lock(station.mutex_);
-      station.replace_locked(report);
       station.entries_[i].probability = probability;
     }
   }

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -55,9 +56,12 @@ struct CoverageSummary {
 
 /// Thread-safety: every public method takes the internal mutex, so scalar
 /// queries and ingest/commit calls may race freely once collection goes
-/// parallel.  The exceptions are node_views() (the returned views alias the
-/// cache — keep the station quiescent while an estimator consumes them) and
-/// the reference returned by SamplingNetwork::base_station().  The
+/// parallel.  Each node's cached sample is an immutable shared set: ingest
+/// and replace install a fresh one, so an estimate holds the sets it
+/// started from without copying them.  The exceptions are node_views()
+/// (plain pointers into the current sets — keep the station quiescent while
+/// an estimator consumes them) and the reference returned by
+/// SamplingNetwork::base_station().  The
 /// PRC_GUARDED_BY annotations make clang's -Wthread-safety enforce the
 /// discipline on the _locked helpers when PRC_THREAD_SAFETY_ANALYSIS is on.
 class BaseStation {
@@ -99,7 +103,8 @@ class BaseStation {
 
   /// Replaces one node's cached sample wholesale.  Used after continuous
   /// collection appends shift the node's local ranks: merged deltas would be
-  /// stale, so the node retransmits its full sample.
+  /// stale, so the node retransmits its full sample.  The new set is built
+  /// before the lock is taken; only the pointer swap holds it.
   void replace(const SampleReport& full_report);
 
   /// Records that a top-up round to probability `p` completed with every
@@ -141,19 +146,22 @@ class BaseStation {
   static BaseStation deserialize(const std::vector<std::uint8_t>& bytes);
 
  private:
+  using SharedSamples = std::shared_ptr<const sampling::RankSampleSet>;
+
   struct NodeEntry {
-    sampling::RankSampleSet samples;
+    SharedSamples samples = std::make_shared<const sampling::RankSampleSet>();
     std::size_t data_count = 0;
     double probability = 0.0;  // effective p_i of the cached sample
     bool reported = false;
   };
 
-  // Owning copy of the per-node state the rank-counting estimators read:
-  // staged under mutex_, consumed after it is released, so the pool-backed
-  // estimate never runs with the station lock held (report ingestion would
-  // queue behind query latency otherwise).
+  // The per-node state the rank-counting estimators read: staged under
+  // mutex_ (one pointer copy per node), consumed after it is released, so
+  // the pool-backed estimate never runs with the station lock held (report
+  // ingestion would queue behind query latency otherwise).  The shared sets
+  // are immutable, so a later ingest or replace cannot change them.
   struct EstimateSnapshot {
-    std::vector<sampling::RankSampleSet> samples;
+    std::vector<SharedSamples> samples;
     std::vector<std::size_t> data_counts;
     std::vector<double> probabilities;
     std::vector<estimator::NodeSampleView> views() const;
@@ -167,7 +175,8 @@ class BaseStation {
   CoverageSummary coverage_locked() const PRC_REQUIRES(mutex_);
   std::vector<estimator::NodeSampleView> node_views_locked() const
       PRC_REQUIRES(mutex_);
-  void replace_locked(const SampleReport& full_report) PRC_REQUIRES(mutex_);
+  /// The entry of a reporting node; throws std::out_of_range when unknown.
+  NodeEntry& entry_locked(int node_id) PRC_REQUIRES(mutex_);
   void commit_round_locked(double p, const std::vector<bool>& refreshed)
       PRC_REQUIRES(mutex_);
 

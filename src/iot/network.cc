@@ -140,19 +140,17 @@ void FlatNetwork::append_data(std::size_t node,
 }
 
 std::size_t FlatNetwork::refresh_samples() {
-  std::size_t resynced = 0;
-  for (auto& node : nodes_) {
-    if (!node.dirty()) continue;
-    if (!node.online()) continue;  // resync deferred until the node rejoins
+  const auto lanes = run_lanes([&](std::size_t i, NodeLane& lane) {
+    auto& node = nodes_[i];
+    if (!node.dirty()) return;
+    if (!node.online()) return;  // resync deferred until the node rejoins
     const SampleReport report = node.full_report();
-    if (upload(report, /*full_resync=*/true, stats_)) {
-      ++resynced;
-      stats_.samples_transferred += report.new_samples.size();
-    } else {
-      node.invalidate_cached_sample();
-    }
-  }
-  return resynced;
+    settle(i, lane, upload(report, /*full_resync=*/true, lane.stats),
+           report.new_samples.size());
+  });
+  return static_cast<std::size_t>(std::count_if(
+      lanes.begin(), lanes.end(),
+      [](const NodeLane& lane) { return lane.refreshed; }));
 }
 
 }  // namespace prc::iot

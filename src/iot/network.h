@@ -67,7 +67,9 @@ class FlatNetwork final : public SimulatedNetwork {
 
   /// Resynchronizes every dirty node: the node retransmits its full sample
   /// (ranks shifted when data was appended), the base station replaces its
-  /// cache, and the traffic is charged.  Returns the number of nodes that
+  /// cache, and the traffic is charged.  Nodes resync on parallel lanes
+  /// merged in node order, like a round, so the counters and the cache are
+  /// the same at any thread count.  Returns the number of nodes that
   /// resynced.
   std::size_t refresh_samples();
 

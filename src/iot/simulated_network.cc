@@ -79,6 +79,27 @@ void SimulatedNetwork::settle(std::size_t node, NodeLane& lane,
   lane.refreshed = true;
 }
 
+std::vector<NodeLane> SimulatedNetwork::run_lanes(const NodeStep& step) {
+  // Per-node lanes: every stochastic draw a node makes comes from its own
+  // sampling, channel and fault streams, its station entry is disjoint from
+  // the others' (and the station is internally locked), and its traffic
+  // goes to its own lane, so the lanes need no cross-node ordering.
+  std::vector<NodeLane> lanes(nodes_.size());
+  parallel::parallel_for_each(nodes_.size(), [&](std::size_t i) {
+    lanes[i].levels.resize(level_stats_.size());
+    step(i, lanes[i]);
+  });
+  // Serial merge in node index order.
+  for (const auto& lane : lanes) {
+    stats_ += lane.stats;
+    for (std::size_t level = 0; level < lane.levels.size(); ++level) {
+      level_stats_[level].links_crossed += lane.levels[level].links_crossed;
+      level_stats_[level].bytes += lane.levels[level].bytes;
+    }
+  }
+  return lanes;
+}
+
 RoundReport SimulatedNetwork::run_round(double p, const NodeStep& step,
                                         const AfterMerge& after_merge) {
   if (!(p > 0.0) || p > 1.0) {
@@ -108,25 +129,10 @@ RoundReport SimulatedNetwork::run_round(double p, const NodeStep& step,
   // Churn state is frozen for the rest of the round: lanes only read it.
   link_.faults().begin_round();
 
-  // Per-node lanes: every stochastic draw a node makes comes from its own
-  // sampling, channel and fault streams, its station entry is disjoint from
-  // the others' (and the station is internally locked), and its traffic
-  // goes to its own lane, so the lanes need no cross-node ordering.
-  std::vector<NodeLane> lanes(nodes_.size());
-  parallel::parallel_for_each(nodes_.size(), [&](std::size_t i) {
-    lanes[i].levels.resize(level_stats_.size());
-    step(i, lanes[i]);
-  });
-
-  // Serial merge in node index order.
+  const std::vector<NodeLane> lanes = run_lanes(step);
   std::vector<bool> refreshed(nodes_.size(), false);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const auto& lane = lanes[i];
-    stats_ += lane.stats;
-    for (std::size_t level = 0; level < lane.levels.size(); ++level) {
-      level_stats_[level].links_crossed += lane.levels[level].links_crossed;
-      level_stats_[level].bytes += lane.levels[level].bytes;
-    }
     report.new_samples += lane.new_samples;
     report.outcomes[i] = lane.outcome;
     if (lane.severed) ++report.severed_reports;

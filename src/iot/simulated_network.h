@@ -26,9 +26,9 @@
 
 namespace prc::iot {
 
-/// One node's share of a round.  The topology's step fills it from a
-/// parallel region; run_round() merges the lanes serially in node order, so
-/// a round is bit-identical at any thread count.
+/// One node's share of a round (or of a resync pass).  The topology's step
+/// fills it from a parallel region; run_lanes() merges the lanes serially in
+/// node order, so a round is bit-identical at any thread count.
 struct NodeLane {
   CommunicationStats stats;
   std::vector<TreeLevelStats> levels;  // sized like level_stats_; tree only
@@ -100,6 +100,11 @@ class SimulatedNetwork : public SamplingNetwork {
   /// (no traffic when the cache already satisfies p).  Returns its report.
   RoundReport run_round(double p, const NodeStep& step,
                         const AfterMerge& after_merge = {});
+
+  /// Runs `step` for every node on the pool, each into its own lane, then
+  /// charges the lanes' traffic to stats_ and level_stats_ serially in node
+  /// order.  Returns the lanes for the caller's own merge.
+  std::vector<NodeLane> run_lanes(const NodeStep& step);
 
   /// True when `node` is offline, manually or by churn.
   bool offline(std::size_t node) const {

@@ -44,13 +44,15 @@ class LocalSampler {
   /// existing samples shift, so after an append the node must retransmit its
   /// full sample (current_sample()) rather than a delta.
   ///
-  /// One Bernoulli(p) draw per newcomer, in arrival order.  O(n + m log m)
-  /// for n held and m new values: only the newcomers are sorted, then merged
-  /// in one linear pass.  Ties: the result equals a stable sort by value of
-  /// "existing elements, then newcomers in arrival order", so existing
-  /// copies of a value keep the lower ranks and equal newcomers rank in
-  /// arrival order.  Throws prc::ContractViolation, with the sampler and
-  /// `rng` untouched, if any value is NaN or infinite.
+  /// One Bernoulli(p) draw per newcomer, in arrival order.  O(m log n)
+  /// comparisons plus one pass of memory traffic for n held and m new
+  /// values: the newcomers are sorted, then placed from the back, each
+  /// shifting the block of held values above it with one memmove.  Ties:
+  /// the result equals a stable sort by value of "existing elements, then
+  /// newcomers in arrival order", so existing copies of a value keep the
+  /// lower ranks and equal newcomers rank in arrival order.  Throws
+  /// prc::ContractViolation, with the sampler and `rng` untouched, if any
+  /// value is NaN or infinite.
   void append(const std::vector<double>& values, Rng& rng);
 
   /// The full current sample with ranks.
@@ -64,7 +66,7 @@ class LocalSampler {
 
  private:
   std::vector<double> sorted_;
-  std::vector<bool> selected_;
+  std::vector<std::uint8_t> selected_;  // bytes, not packed bits: memmove-able
   std::size_t sampled_count_ = 0;
   double p_ = 0.0;
 };

@@ -62,14 +62,14 @@ std::optional<RankedValue> RankSampleSet::successor(double x) const {
   return *it;
 }
 
-void RankSampleSet::merge(const RankSampleSet& other) {
-  std::vector<RankedValue> merged;
-  merged.reserve(samples_.size() + other.samples_.size());
+RankSampleSet RankSampleSet::merged(const RankSampleSet& other) const {
+  RankSampleSet out;
+  out.samples_.reserve(samples_.size() + other.samples_.size());
   std::merge(samples_.begin(), samples_.end(), other.samples_.begin(),
-             other.samples_.end(), std::back_inserter(merged),
+             other.samples_.end(), std::back_inserter(out.samples_),
              value_rank_less);
-  samples_ = std::move(merged);
-  check_invariants();
+  out.check_invariants();
+  return out;
 }
 
 }  // namespace prc::sampling

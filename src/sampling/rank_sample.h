@@ -51,9 +51,11 @@ class RankSampleSet {
   /// rank).  nullopt if none.
   std::optional<RankedValue> successor(double x) const;
 
-  /// Merges additional samples (e.g. from a top-up round).  Rank collisions
-  /// are caught only when PRC_DCHECK is on, like the constructor.
-  void merge(const RankSampleSet& other);
+  /// A fresh set holding this set's samples and `other`'s (e.g. a top-up
+  /// delta); this set is left as it is, so a reader sharing it never sees
+  /// it change.  Rank collisions are caught only when PRC_DCHECK is on,
+  /// like the constructor.
+  RankSampleSet merged(const RankSampleSet& other) const;
 
  private:
   /// Debug-only full validation (see constructor comment).

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/statistics.h"
 #include "query/range_query.h"
@@ -65,6 +69,96 @@ TEST(BaseStationTest, EstimateRequiresCommittedRound) {
   BaseStation station(1);
   EXPECT_THROW(station.rank_counting_estimate({0.0, 1.0}), std::logic_error);
   EXPECT_THROW(station.basic_counting_estimate({0.0, 1.0}), std::logic_error);
+}
+
+// Sample reports whose values equal their ranks, so every set is
+// consistent with a sorted node.
+SampleReport rank_report(int node, std::size_t data_count,
+                         std::vector<std::uint64_t> ranks) {
+  SampleReport report{node, data_count, {}};
+  for (const auto rank : ranks) {
+    report.new_samples.push_back({static_cast<double>(rank), rank});
+  }
+  return report;
+}
+
+std::vector<query::RangeQuery> station_ranges() {
+  return {{0.0, 50.0}, {20.0, 120.0}, {90.0, 300.0}, {150.0, 400.0}};
+}
+
+// The station's update sequence for the snapshot tests: node 0 grows by
+// top-up deltas (odd ranks), node 1 is replaced wholesale by ever denser
+// full samples.
+std::vector<std::pair<bool, SampleReport>> station_updates() {
+  std::vector<std::pair<bool, SampleReport>> updates;  // (replace, report)
+  for (std::uint64_t k = 0; k < 20; ++k) {
+    updates.emplace_back(false, rank_report(0, 400, {2 * k + 1}));
+    std::vector<std::uint64_t> full;
+    for (std::uint64_t r = k + 2; r <= 400; r += k + 2) full.push_back(r);
+    updates.emplace_back(true, rank_report(1, 400, full));
+  }
+  return updates;
+}
+
+BaseStation seeded_station() {
+  BaseStation station(2);
+  std::vector<std::uint64_t> even;
+  for (std::uint64_t r = 2; r <= 400; r += 2) even.push_back(r);
+  station.ingest(rank_report(0, 400, even));
+  station.replace(rank_report(1, 400, {100, 200, 300}));
+  station.commit_round(0.5);
+  return station;
+}
+
+void apply(BaseStation& station, const std::pair<bool, SampleReport>& update) {
+  if (update.first) {
+    station.replace(update.second);
+  } else {
+    station.ingest(update.second);
+  }
+}
+
+TEST(BaseStationTest, CopyKeepsItsSamplesAcrossIngestAndReplace) {
+  // A copy shares the original's per-node sets; ingest and replace on the
+  // original must install fresh sets rather than edit the shared ones.
+  BaseStation station = seeded_station();
+  const BaseStation copy = station;
+  const auto before = copy.rank_counting_estimate_batch(station_ranges());
+  const auto cached = copy.cached_sample_count();
+  for (const auto& update : station_updates()) apply(station, update);
+  EXPECT_EQ(copy.rank_counting_estimate_batch(station_ranges()), before);
+  EXPECT_EQ(copy.cached_sample_count(), cached);
+  EXPECT_NE(station.rank_counting_estimate_batch(station_ranges()), before);
+}
+
+TEST(BaseStationTest, BatchEstimateSeesOneStateWhileReportsLand) {
+  // Every state the station passes through, in order.
+  const auto updates = station_updates();
+  std::vector<std::vector<double>> states;
+  {
+    BaseStation serial = seeded_station();
+    states.push_back(serial.rank_counting_estimate_batch(station_ranges()));
+    for (const auto& update : updates) {
+      apply(serial, update);
+      states.push_back(serial.rank_counting_estimate_batch(station_ranges()));
+    }
+  }
+  // A batch taken while reports land answers from the state it started
+  // from: never a mix of two states, never a set edited under it.
+  BaseStation station = seeded_station();
+  std::thread writer([&] {
+    for (const auto& update : updates) apply(station, update);
+  });
+  for (int i = 0; i < 200; ++i) {
+    const auto batch = station.rank_counting_estimate_batch(station_ranges());
+    if (std::find(states.begin(), states.end(), batch) == states.end()) {
+      ADD_FAILURE() << "batch " << i << " matches no state";
+      break;
+    }
+  }
+  writer.join();
+  EXPECT_EQ(station.rank_counting_estimate_batch(station_ranges()),
+            states.back());
 }
 
 TEST(FlatNetworkTest, ConstructionValidation) {

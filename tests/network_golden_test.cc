@@ -459,9 +459,9 @@ std::vector<GoldenParam> all_params() {
 
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, NetworkGoldenTest, ::testing::ValuesIn(all_params()),
-    [](const ::testing::TestParamInfo<GoldenParam>& info) {
-      return std::string(scenarios()[info.param.scenario].name) + "_t" +
-             std::to_string(info.param.threads);
+    [](const ::testing::TestParamInfo<GoldenParam>& param_info) {
+      return std::string(scenarios()[param_info.param.scenario].name) + "_t" +
+             std::to_string(param_info.param.threads);
     });
 
 }  // namespace

@@ -159,6 +159,70 @@ TEST(ParallelDeterminismTest, TreeRoundBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(estimates[0], estimates[1]);
 }
 
+// Continuous collection: every epoch appends readings to each node,
+// resyncs the dirty nodes on refresh lanes and tops up to a higher p, over
+// a byte-accurate lossy channel with bounded retries, churn and a manually
+// offlined node.  Traffic, resync counts, round reports, the station cache
+// and the estimates must not depend on the thread count.
+struct StreamingRun {
+  std::vector<std::size_t> resynced;
+  std::vector<iot::RoundReport> reports;
+  iot::CommunicationStats stats;
+  std::vector<std::uint8_t> station;
+  std::vector<double> estimates;
+};
+
+StreamingRun run_streaming(std::size_t threads) {
+  ThreadCountGuard guard(threads);
+  iot::NetworkConfig config = lossy_flat_config();
+  config.byte_accurate = true;
+  config.bit_corruption_probability = 0.05;
+  const std::size_t nodes = 16;
+  iot::FlatNetwork network(make_node_data(nodes, 4000), config);
+  StreamingRun run;
+  run.reports.push_back(network.ensure_sampling_probability(0.05));
+  Rng readings(404);
+  for (std::size_t epoch = 0; epoch < 6; ++epoch) {
+    for (std::size_t node = 0; node < nodes; ++node) {
+      std::vector<double> batch(
+          static_cast<std::size_t>(readings.uniform_int(0, 60)));
+      for (auto& v : batch) {
+        v = static_cast<double>(readings.uniform_int(-20, 220));
+      }
+      network.append_data(node, batch);
+    }
+    // Node 3 sits out epochs 2 and 3: its resync waits until it rejoins.
+    network.set_node_online(3, epoch != 2 && epoch != 3);
+    run.resynced.push_back(network.refresh_samples());
+    run.reports.push_back(network.ensure_sampling_probability(
+        0.05 + 0.05 * static_cast<double>(epoch + 1)));
+  }
+  run.stats = network.stats();
+  run.station = network.base_station().serialize();
+  run.estimates = network.rank_counting_estimate_batch(make_ranges(16));
+  return run;
+}
+
+TEST(ParallelDeterminismTest, StreamingRefreshBitIdenticalAcrossThreadCounts) {
+  const StreamingRun serial = run_streaming(1);
+  ASSERT_FALSE(serial.resynced.empty());
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    const StreamingRun pooled = run_streaming(threads);
+    EXPECT_EQ(serial.resynced, pooled.resynced);
+    ASSERT_EQ(serial.reports.size(), pooled.reports.size());
+    for (std::size_t r = 0; r < serial.reports.size(); ++r) {
+      expect_same_report(serial.reports[r], pooled.reports[r]);
+    }
+    expect_same_stats(serial.stats, pooled.stats);
+    EXPECT_EQ(serial.station, pooled.station);
+    EXPECT_EQ(serial.estimates, pooled.estimates);
+  }
+  // The scenario must exercise the lossy paths it claims to.
+  EXPECT_GT(serial.stats.dropped_frames, 0u);
+  EXPECT_GT(serial.stats.corrupted_frames, 0u);
+}
+
 // The acceptance shape: a 100-query batch must return exactly what 100
 // independent single-query calls return, at any thread count (the batch
 // runs queries on the pool with a nested chunk-grid node sum; both

@@ -56,14 +56,15 @@ TEST(RankSampleSetTest, EmptySetHasNoNeighbors) {
 }
 
 TEST(RankSampleSetTest, MergeCombinesAndValidates) {
-  RankSampleSet a({{1.0, 1}, {3.0, 3}});
+  const RankSampleSet a({{1.0, 1}, {3.0, 3}});
   const RankSampleSet b({{2.0, 2}});
-  a.merge(b);
-  EXPECT_EQ(a.size(), 3u);
-  EXPECT_EQ(a.samples()[1].value, 2.0);
+  const RankSampleSet ab = a.merged(b);
+  EXPECT_EQ(ab.size(), 3u);
+  EXPECT_EQ(ab.samples()[1].value, 2.0);
+  EXPECT_EQ(a.size(), 2u);  // the operands are left as they were
 #if PRC_DCHECK_IS_ON()
   const RankSampleSet conflicting({{9.0, 3}});
-  EXPECT_THROW(a.merge(conflicting), std::invalid_argument);
+  EXPECT_THROW((void)ab.merged(conflicting), std::invalid_argument);
 #endif
 }
 

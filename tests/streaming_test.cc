@@ -201,6 +201,58 @@ TEST(LocalSamplerAppendTest, MergeMatchesStableSortOracle) {
   }
 }
 
+TEST(LocalSamplerAppendTest, BlockMergeMatchesReferenceAtEveryProbability) {
+  // Randomized batches against the stable-sort reference: negative values,
+  // duplicates and ties with held values, appends into an empty sampler,
+  // and appends at p = 0 (nothing sampled), p = 1 (everything sampled) and
+  // in between.
+  for (std::uint64_t trial = 0; trial < 600; ++trial) {
+    SCOPED_TRACE(trial);
+    Rng gen(trial + 5000);
+    const auto batch = [&](std::int64_t max_size) {
+      std::vector<double> values(
+          static_cast<std::size_t>(gen.uniform_int(0, max_size)));
+      for (auto& v : values) {
+        // Half the readings repeat one of 13 values around zero; the rest
+        // are fresh, mostly distinct doubles of either sign.
+        v = gen.bernoulli(0.5)
+                ? static_cast<double>(gen.uniform_int(-6, 6)) * 0.5
+                : gen.uniform(-100.0, 100.0);
+      }
+      return values;
+    };
+    const auto initial = trial % 3 == 0 ? std::vector<double>{} : batch(50);
+    sampling::LocalSampler sampler(initial);
+    ReferenceSampler reference(initial, /*stable=*/true);
+    Rng rng(trial * 17 + 3);
+    Rng reference_rng = rng;
+    // Stay at p = 0, jump to p = 1, or climb in steps that may reach 1.
+    const int path = static_cast<int>(trial % 3);
+    double p = 0.0;
+    for (int step = 0; step < 10; ++step) {
+      if (path != 0 && step % 3 == 1 && p < 1.0) {
+        p = path == 1 ? 1.0 : std::min(1.0, p + gen.uniform(0.1, 0.5));
+        sampler.raise_probability(p, rng);
+        reference.raise_probability(p, reference_rng);
+      } else {
+        const auto values = batch(30);
+        sampler.append(values, rng);
+        reference.append(values, reference_rng);
+      }
+      expect_same_state(sampler, reference);
+      if (path == 0) {
+        EXPECT_EQ(sampler.sample_count(), 0u);
+      }
+      if (p >= 1.0) {
+        EXPECT_EQ(sampler.sample_count(), sampler.data_count());
+      }
+    }
+    // The same draws were consumed: the callers' generators are in step.
+    EXPECT_EQ(rng(), reference_rng());
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
 TEST(LocalSamplerAppendTest, EqualValuesRankExistingFirstThenArrivalOrder) {
   // For each seed, predict every draw on a copy of the generator, then check
   // that the sampled ranks follow "existing copies, then newcomers in

@@ -149,10 +149,14 @@ ArgParser& add_telemetry_options(ArgParser& parser) {
 }
 
 /// Applies --threads to the process-wide pool (no-op when absent, so the
-/// PRC_THREADS default stands).
-void apply_thread_option(const ArgParser& parser) {
+/// PRC_THREADS default stands) and turns the span tracer on when --trace or
+/// --trace-json will read its ring.
+void apply_run_options(const ArgParser& parser) {
   if (const auto threads = parser.get_uint("threads", 0); threads > 0) {
     parallel::set_thread_count(static_cast<std::size_t>(threads));
+  }
+  if (parser.has("trace") || parser.has("trace-json")) {
+    trace::Tracer::instance().set_enabled(true);
   }
 }
 
@@ -252,7 +256,7 @@ int cmd_count(int argc, char** argv) {
       .flag("exact", "print the exact count instead (ground truth)");
   add_telemetry_options(parser);
   if (!parser.parse(argc, argv)) return 0;
-  apply_thread_option(parser);
+  apply_run_options(parser);
 
   const query::RangeQuery range{required_double(parser, "lower"),
                                 required_double(parser, "upper")};
@@ -324,7 +328,7 @@ int cmd_quote(int argc, char** argv) {
       .option("exponent", "power-family exponent q (default 1)");
   add_telemetry_options(parser);
   if (!parser.parse(argc, argv)) return 0;
-  apply_thread_option(parser);
+  apply_run_options(parser);
   const query::AccuracySpec spec{required_double(parser, "alpha"),
                                  required_double(parser, "delta")};
   spec.validate();
@@ -361,7 +365,7 @@ int cmd_quantile(int argc, char** argv) {
               "per-frame transmission budget, 0 = retry forever (default 0)");
   add_telemetry_options(parser);
   if (!parser.parse(argc, argv)) return 0;
-  apply_thread_option(parser);
+  apply_run_options(parser);
   const double q = required_double(parser, "q");
   const double p = parser.get_double("p", 0.1);
   const auto nodes = static_cast<std::size_t>(parser.get_uint("nodes", 8));
@@ -434,7 +438,7 @@ int cmd_session(int argc, char** argv) {
               "this path and reconcile it against the ledger");
   add_telemetry_options(parser);
   if (!parser.parse(argc, argv)) return 0;
-  apply_thread_option(parser);
+  apply_run_options(parser);
 
   // Up before the first collection round so a scraper watching the port
   // sees the session's whole life, not just its final state.
@@ -578,6 +582,7 @@ int cmd_recover(int argc, char** argv) {
             "fold the recovered state into a single-checkpoint log");
   add_telemetry_options(parser);
   if (!parser.parse(argc, argv)) return 0;
+  apply_run_options(parser);
 
   const std::string path = require(parser, "wal");
   const auto recovery = market::wal::read_wal(path);
