@@ -214,20 +214,20 @@ void BM_OptimizeColdVsWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimizeColdVsWarm)->Arg(0)->Arg(1);
 
-// The arbitrage attack search over its (alpha, delta, m) lattice.  The
-// per-call quote memo prices each lattice cell once instead of once per
-// copy count m; this benchmark is the whole-search cost with that memo.
-void BM_BestAttackQuoteCache(benchmark::State& state) {
+// The arbitrage attack search over its (alpha, delta, m) lattice, against
+// the power family with q = arg / 100: q = 1 and q = 0.5 end unprofitable,
+// q = 2 times the profitable path (winner selection included).
+void BM_BestAttack(benchmark::State& state) {
   const pricing::VarianceModel model(17568, 8);
-  const pricing::InverseVariancePricing pricing(model, {0.1, 0.5}, 100.0,
-                                                1.0);
+  const pricing::InverseVariancePricing pricing(
+      model, {0.1, 0.5}, 100.0, static_cast<double>(state.range(0)) / 100.0);
   const pricing::AttackSimulator simulator(model);
   const query::AccuracySpec target{0.05, 0.8};
   for (auto _ : state) {
     benchmark::DoNotOptimize(simulator.best_attack(pricing, target));
   }
 }
-BENCHMARK(BM_BestAttackQuoteCache);
+BENCHMARK(BM_BestAttack)->Arg(50)->Arg(100)->Arg(200);
 
 void BM_LaplaceSample(benchmark::State& state) {
   const dp::LaplaceMechanism mechanism(2.5, 0.5);

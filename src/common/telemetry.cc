@@ -121,16 +121,19 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   counts_.assign(bounds_.size() + 1, 0);
 }
 
-void Histogram::record(double value) {
-  PRC_CHECK_FINITE(value);
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const auto bucket = static_cast<std::size_t>(it - bounds_.begin());
+void Histogram::record(double value) { record_all({&value, 1}); }
+
+void Histogram::record_all(std::span<const double> values) {
+  for (const double value : values) PRC_CHECK_FINITE(value);
   std::lock_guard<std::mutex> lock(mutex_);
-  ++counts_[bucket];
-  sum_ += value;
-  min_ = count_ == 0 ? value : std::min(min_, value);
-  max_ = count_ == 0 ? value : std::max(max_, value);
-  ++count_;
+  for (const double value : values) {
+    const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
+    ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
+    sum_ += value;
+    min_ = count_ == 0 ? value : std::min(min_, value);
+    max_ = count_ == 0 ? value : std::max(max_, value);
+    ++count_;
+  }
 }
 
 double Histogram::quantile_locked(double q) const {

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -102,6 +103,12 @@ class Histogram {
   explicit Histogram(std::vector<double> bounds);
 
   void record(double value);
+
+  /// Records `values` in order under one lock acquisition; the resulting
+  /// state is bit-identical to calling record() on each value in turn.
+  /// Every value is checked before the lock is taken, so a batch holding a
+  /// non-finite value throws and records nothing.
+  void record_all(std::span<const double> values);
 
   HistogramSnapshot snapshot() const;
   void reset();

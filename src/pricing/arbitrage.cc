@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "common/check.h"
 #include "common/telemetry.h"
@@ -81,15 +84,17 @@ CheckReport ArbitrageChecker::check(const PricingFunction& pricing,
   const auto cell = [this](std::size_t i, std::size_t j) {
     return i * grid_.delta_steps + j;
   };
-  std::vector<double> price_grid(alphas.size() * deltas.size());
-  std::vector<double> variance_grid(alphas.size() * deltas.size());
-  for (std::size_t i = 0; i < alphas.size(); ++i) {
-    for (std::size_t j = 0; j < deltas.size(); ++j) {
-      const query::AccuracySpec spec{alphas[i], deltas[j]};
-      price_grid[cell(i, j)] = pricing.price(spec);
-      variance_grid[cell(i, j)] = model_.contract_variance(spec);
+  std::vector<query::AccuracySpec> grid_specs;
+  grid_specs.reserve(alphas.size() * deltas.size());
+  std::vector<double> variance_grid;
+  variance_grid.reserve(alphas.size() * deltas.size());
+  for (const double alpha : alphas) {
+    for (const double delta : deltas) {
+      grid_specs.push_back({alpha, delta});
+      variance_grid.push_back(model_.contract_variance(grid_specs.back()));
     }
   }
+  const std::vector<double> price_grid = pricing.price_all(grid_specs);
 
   // Property 1: contracts with identical variance must have identical price.
   for (std::size_t i = 0; i < alphas.size(); ++i) {
@@ -175,30 +180,22 @@ AttackSimulator::AttackSimulator(VarianceModel model, SearchSpace space)
 
 AttackResult AttackSimulator::best_attack(
     const PricingFunction& pricing, const query::AccuracySpec& target) const {
-  static telemetry::Counter& quote_cache_hits =
-      telemetry::counter("pricing.attack_quote_cache_hits");
+  PRC_TIMED_SPAN("pricing.best_attack");
   target.validate();
   AttackResult result;
   result.honest_price = pricing.price(target);
   result.best_attack_cost = result.honest_price;
   const double target_variance = model_.contract_variance(target);
 
-  // The (alpha_w, delta_w) candidate lattice is the same for every copy
-  // count m — only the variance budget filter changes — so the old loop
-  // re-quoted each admissible cell up to max_copies - 1 times.  Lay the
-  // lattice out once, then fill prices lazily as the m-loop first touches
-  // each cell; later visits are memo hits.  The memo is call-local (an
-  // AttackSimulator is copied into each attacker, and the deliberation
-  // phase runs best_attack concurrently), so no lock is needed, and a
-  // memoized price is byte-for-byte the double the direct call returned.
-  struct Cell {
-    bool valid = false;
-    query::AccuracySpec spec;
-    double variance = 0.0;
-    double price = 0.0;
-    bool priced = false;
-  };
-  std::vector<Cell> cells(space_.alpha_steps * space_.delta_steps);
+  // A symmetric attack buys m copies of one weaker lattice cell, and the
+  // average meets the target when V_w <= m * V(target).  Every copy count
+  // sees the same lattice through a wider variance budget, so lay out the
+  // cells any m admits (V_w <= max_copies * V(target); floating-point m * x
+  // is monotone in m) and price them once, in lattice order.
+  const double widest_budget =
+      static_cast<double>(space_.max_copies) * target_variance;
+  std::vector<query::AccuracySpec> specs;
+  std::vector<double> variances;
   for (std::size_t ai = 1; ai <= space_.alpha_steps; ++ai) {
     const double alpha_w =
         target.alpha + (space_.alpha_max - target.alpha) *
@@ -209,31 +206,57 @@ AttackResult AttackSimulator::best_attack(
       const double delta_w = target.delta * static_cast<double>(di) /
                              static_cast<double>(space_.delta_steps + 1);
       if (!(delta_w > 0.0) || !(delta_w < target.delta)) continue;
-      Cell& c = cells[(ai - 1) * space_.delta_steps + (di - 1)];
-      c.valid = true;
-      c.spec = query::AccuracySpec{alpha_w, delta_w};
-      c.variance = model_.contract_variance(c.spec);
+      const query::AccuracySpec spec{alpha_w, delta_w};
+      const double variance = model_.contract_variance(spec);
+      if (!(variance <= widest_budget)) continue;  // no m averages it down
+      specs.push_back(spec);
+      variances.push_back(variance);
     }
   }
+  const std::vector<double> prices = pricing.price_all(specs);
 
+  // The cheapest attack with m copies is m * (cheapest price among cells
+  // with V_w <= m * V(target)): sort by variance, keep a running minimum of
+  // price, and each m is one binary search.  Floating-point m * x is
+  // monotone in x, so m * min(p) == min(m * p) exactly.
+  std::vector<std::pair<double, double>> cheapest_within(specs.size());
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    cheapest_within[k] = {variances[k], prices[k]};
+  }
+  std::sort(cheapest_within.begin(), cheapest_within.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  double cheapest = std::numeric_limits<double>::infinity();
+  for (auto& [variance, price] : cheapest_within) {
+    if (price < cheapest) cheapest = price;
+    price = cheapest;  // now the cheapest price with V_w <= variance
+  }
+  // Only a strict improvement replaces the incumbent: ties go to the
+  // smallest m.
+  std::size_t best_copies = 0;
   for (std::size_t m = 2; m <= space_.max_copies; ++m) {
-    const double variance_budget =
-        static_cast<double>(m) * target_variance;  // V_w <= m * V(target)
-    for (Cell& c : cells) {
-      if (!c.valid) continue;
-      if (c.variance > variance_budget) continue;  // average still too noisy
-      if (!c.priced) {
-        c.price = pricing.price(c.spec);
-        c.priced = true;
-      } else {
-        quote_cache_hits.increment();
-      }
-      const double cost = static_cast<double>(m) * c.price;
-      if (cost < result.best_attack_cost) {
-        result.best_attack_cost = cost;
-        result.copies = m;
-        result.weaker_spec = c.spec;
-        result.combined_variance = c.variance / static_cast<double>(m);
+    const double variance_budget = static_cast<double>(m) * target_variance;
+    const auto admitted = std::upper_bound(
+        cheapest_within.begin(), cheapest_within.end(), variance_budget,
+        [](double budget, const auto& cell) { return budget < cell.first; });
+    if (admitted == cheapest_within.begin()) continue;
+    const double cost = static_cast<double>(m) * std::prev(admitted)->second;
+    if (cost < result.best_attack_cost) {
+      result.best_attack_cost = cost;
+      best_copies = m;
+    }
+  }
+  if (best_copies != 0) {
+    // Ties within the winning m go to the lowest lattice index.  Distinct
+    // prices may round to the same m * p, so compare products, not prices.
+    const auto m = static_cast<double>(best_copies);
+    const double variance_budget = m * target_variance;
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      if (variances[k] <= variance_budget &&
+          m * prices[k] == result.best_attack_cost) {  // lint:allow float-eq
+        result.copies = best_copies;
+        result.weaker_spec = specs[k];
+        result.combined_variance = variances[k] / m;
+        break;
       }
     }
   }

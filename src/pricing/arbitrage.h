@@ -84,6 +84,9 @@ class AttackSimulator {
   /// attacks are optimal for variance-keyed price families because the
   /// constraint sum V_i <= m^2 V and the cost sum psi(V_i) are both
   /// Schur-convex in the V_i.  Asymmetric spot checks are in the tests.
+  /// Each admissible lattice cell is priced once (one price_all batch);
+  /// every copy count m is then one binary search over the cells sorted by
+  /// variance.  Ties go to the smallest m, then the lowest lattice index.
   AttackResult best_attack(const PricingFunction& pricing,
                            const query::AccuracySpec& target) const;
 

@@ -17,7 +17,33 @@ namespace {
 constexpr double kAuditAlpha[] = {0.05, 0.2, 0.5, 0.9};
 constexpr double kAuditDelta[] = {0.05, 0.3, 0.6, 0.9};
 
+telemetry::Counter& quotes_counter() {
+  static telemetry::Counter& quotes = telemetry::counter("pricing.quotes");
+  return quotes;
+}
+
+telemetry::Histogram& price_histogram() {
+  static telemetry::Histogram& prices = telemetry::histogram("pricing.price");
+  return prices;
+}
+
 }  // namespace
+
+double PricingFunction::price(const query::AccuracySpec& spec) const {
+  const double quoted = psi(spec);
+  quotes_counter().increment();
+  price_histogram().record(quoted);
+  return quoted;
+}
+
+std::vector<double> PricingFunction::price_all(
+    std::span<const query::AccuracySpec> specs) const {
+  std::vector<double> prices(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) prices[i] = psi(specs[i]);
+  quotes_counter().increment(prices.size());
+  price_histogram().record_all(prices);
+  return prices;
+}
 
 double cached_price(QuoteCache& cache, const PricingFunction& pricing,
                     const query::AccuracySpec& spec) {
@@ -96,16 +122,9 @@ InverseVariancePricing::InverseVariancePricing(
   if (exponent_ == 1.0) validate_arbitrage_conditions(model_, *this);
 }
 
-double InverseVariancePricing::price(const query::AccuracySpec& spec) const {
-  // price() is the attacker grid search's inner loop; cache the registry
-  // lookups (name hash + registry lock) once per process.
-  static telemetry::Counter& quotes = telemetry::counter("pricing.quotes");
-  static telemetry::Histogram& prices = telemetry::histogram("pricing.price");
+double InverseVariancePricing::psi(const query::AccuracySpec& spec) const {
   const double v = model_.contract_variance(spec);
-  const double price = base_price_ * std::pow(reference_variance_ / v, exponent_);
-  quotes.increment();
-  prices.record(price);
-  return price;
+  return base_price_ * std::pow(reference_variance_ / v, exponent_);
 }
 
 std::string InverseVariancePricing::name() const {
@@ -123,15 +142,10 @@ LinearDiscountPricing::LinearDiscountPricing(double base, double accuracy_rate,
       << "linear pricing needs base > 0, rates >= 0";
 }
 
-double LinearDiscountPricing::price(const query::AccuracySpec& spec) const {
-  static telemetry::Counter& quotes = telemetry::counter("pricing.quotes");
-  static telemetry::Histogram& prices = telemetry::histogram("pricing.price");
+double LinearDiscountPricing::psi(const query::AccuracySpec& spec) const {
   spec.validate();
-  const double price = base_ + accuracy_rate_ * (1.0 - spec.alpha) +
-                       confidence_rate_ * spec.delta;
-  quotes.increment();
-  prices.record(price);
-  return price;
+  return base_ + accuracy_rate_ * (1.0 - spec.alpha) +
+         confidence_rate_ * spec.delta;
 }
 
 std::string LinearDiscountPricing::name() const { return "linear-discount"; }
@@ -170,13 +184,8 @@ FittedTheoremPricing::FittedTheoremPricing(VarianceModel model, double scale)
   validate_arbitrage_conditions(model_, *this);
 }
 
-double FittedTheoremPricing::price(const query::AccuracySpec& spec) const {
-  static telemetry::Counter& quotes = telemetry::counter("pricing.quotes");
-  static telemetry::Histogram& prices = telemetry::histogram("pricing.price");
-  const double price = scale_ / model_.contract_variance(spec);
-  quotes.increment();
-  prices.record(price);
-  return price;
+double FittedTheoremPricing::psi(const query::AccuracySpec& spec) const {
+  return scale_ / model_.contract_variance(spec);
 }
 
 std::string FittedTheoremPricing::name() const {

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,15 +31,28 @@
 
 namespace prc::pricing {
 
-/// Interface for a pricing function pi(alpha, delta).
+/// Interface for a pricing function pi(alpha, delta).  Subclasses supply
+/// the bare price through psi(); the public entry points add the quote
+/// telemetry (pricing.quotes, pricing.price) in one place.
 class PricingFunction {
  public:
   virtual ~PricingFunction() = default;
 
   /// Price of one (alpha, delta) query.  Positive.
-  virtual double price(const query::AccuracySpec& spec) const = 0;
+  double price(const query::AccuracySpec& spec) const;
+
+  /// Prices every contract in order: element i is exactly price(specs[i]).
+  /// Counts the n quotes with one counter update and one histogram lock,
+  /// for search loops that price a whole lattice at once.  A spec psi()
+  /// rejects throws before anything is recorded.
+  std::vector<double> price_all(
+      std::span<const query::AccuracySpec> specs) const;
 
   virtual std::string name() const = 0;
+
+ private:
+  /// The price itself, without telemetry.
+  virtual double psi(const query::AccuracySpec& spec) const = 0;
 };
 
 /// Memoized prices keyed by the bit patterns of (alpha, delta).  Prices are
@@ -82,13 +96,14 @@ class InverseVariancePricing final : public PricingFunction {
                          query::AccuracySpec reference_spec, double base_price,
                          double exponent = 1.0);
 
-  double price(const query::AccuracySpec& spec) const override;
   std::string name() const override;
 
   double exponent() const noexcept { return exponent_; }
   const VarianceModel& model() const noexcept { return model_; }
 
  private:
+  double psi(const query::AccuracySpec& spec) const override;
+
   VarianceModel model_;
   double reference_variance_;
   double base_price_;
@@ -107,10 +122,11 @@ class LinearDiscountPricing final : public PricingFunction {
   LinearDiscountPricing(double base, double accuracy_rate,
                         double confidence_rate);
 
-  double price(const query::AccuracySpec& spec) const override;
   std::string name() const override;
 
  private:
+  double psi(const query::AccuracySpec& spec) const override;
+
   double base_;
   double accuracy_rate_;
   double confidence_rate_;
@@ -145,10 +161,11 @@ class FittedTheoremPricing final : public PricingFunction {
  public:
   FittedTheoremPricing(VarianceModel model, double scale);
 
-  double price(const query::AccuracySpec& spec) const override;
   std::string name() const override;
 
  private:
+  double psi(const query::AccuracySpec& spec) const override;
+
   VarianceModel model_;
   double scale_;
 };

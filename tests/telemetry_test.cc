@@ -5,7 +5,10 @@
 #include "common/telemetry.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -95,6 +98,51 @@ TEST(HistogramTest, SingleValueQuantilesAreExact) {
   const auto snap = hist.snapshot();
   EXPECT_DOUBLE_EQ(snap.p50, 3.0);
   EXPECT_DOUBLE_EQ(snap.p99, 3.0);
+}
+
+TEST(HistogramTest, RecordAllMatchesRecordLoopBitForBit) {
+  Rng rng(19);
+  std::vector<double> values;
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(std::exp(rng.uniform() * 30.0 - 12.0));
+  }
+  values.push_back(0.0);
+  values.push_back(-3.5);  // below every bound
+  values.push_back(2e9);   // overflow bucket
+  Histogram looped(default_bounds());
+  Histogram batched(default_bounds());
+  looped.record(7.0);  // a non-empty start exercises min/max merging
+  batched.record(7.0);
+  for (const double v : values) looped.record(v);
+  batched.record_all(values);
+  batched.record_all({});
+  const auto a = looped.snapshot();
+  const auto b = batched.snapshot();
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.bucket_counts, b.bucket_counts);
+  EXPECT_EQ(bits(a.sum), bits(b.sum));
+  EXPECT_EQ(bits(a.min), bits(b.min));
+  EXPECT_EQ(bits(a.max), bits(b.max));
+  EXPECT_EQ(bits(a.p50), bits(b.p50));
+  EXPECT_EQ(bits(a.p95), bits(b.p95));
+  EXPECT_EQ(bits(a.p99), bits(b.p99));
+}
+
+TEST(HistogramTest, RecordAllWithNonFiniteValueRecordsNothing) {
+  Histogram hist({1.0, 10.0});
+  hist.record(3.0);
+  const std::vector<double> with_nan = {1.0, 2.0, std::nan(""), 4.0};
+  EXPECT_THROW(hist.record_all(with_nan), std::exception);
+  const std::vector<double> with_inf = {
+      5.0, std::numeric_limits<double>::infinity()};
+  EXPECT_THROW(hist.record_all(with_inf), std::exception);
+  const auto snap = hist.snapshot();
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_EQ(snap.sum, 3.0);
+  EXPECT_EQ(snap.min, 3.0);
+  EXPECT_EQ(snap.max, 3.0);
+  EXPECT_EQ(snap.bucket_counts, (std::vector<std::uint64_t>{0, 1, 0}));
 }
 
 TEST(RegistryTest, ReferencesStableAcrossResetAndRehash) {
