@@ -8,10 +8,10 @@ counters.  This script turns a set of those snapshots into a committed
 baseline (BENCH_<pr>.json) and gates future runs against it:
 
   collect  — build a baseline from snapshot files:
-               bench_compare.py collect --out BENCH_4.json \\
+               bench_compare.py collect --out BENCH_16.json \\
                    build/bench/*.telemetry.json
   compare  — gate snapshots against a baseline:
-               bench_compare.py compare --baseline BENCH_4.json \\
+               bench_compare.py compare --baseline BENCH_16.json \\
                    build/bench/*.telemetry.json
 
 Two kinds of checks, deliberately different in strictness:
@@ -25,7 +25,7 @@ Two kinds of checks, deliberately different in strictness:
   than its baseline.  Because absolute times only mean something on the
   machine that recorded the baseline, pass --time-informational when
   comparing against a baseline recorded elsewhere (e.g. the committed
-  BENCH_4.json on a CI runner): timing is then reported but not gated,
+  BENCH_16.json on a CI runner): timing is then reported but not gated,
   while the counter gate stays hard.  CI gets a real timing gate by
   collecting a fresh same-machine baseline at the start of the job and
   comparing a second run against it.

@@ -41,7 +41,10 @@ bool ArgParser::parse(int argc, char** argv) {
       throw std::invalid_argument("unknown option --" + key);
     }
     if (spec->is_flag) {
-      values_[key] = "1";
+      // Move-assign a std::string: assigning the literal directly makes
+      // GCC 12 at -O3 report a false -Wrestrict overlap in
+      // basic_string::_M_replace.
+      values_[key] = std::string("1");
       continue;
     }
     if (i + 1 >= argc) {

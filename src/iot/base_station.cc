@@ -5,6 +5,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "common/byte_codec.h"
 #include "common/check.h"
 #include "common/telemetry.h"
 #include "estimator/basic_counting.h"
@@ -278,121 +279,72 @@ constexpr char kCheckpointMagic[4] = {'P', 'R', 'C', 'S'};
 // p, which is exactly the stale-sample bias the probability field fixes).
 constexpr std::uint32_t kCheckpointVersion = 2;
 
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-  }
-}
-
-void append_f64(std::vector<std::uint8_t>& out, double value) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
-  }
-}
-
-std::uint32_t read_u32(const std::vector<std::uint8_t>& in,
-                       std::size_t& offset) {
-  if (offset + 4 > in.size()) {
-    throw std::invalid_argument("checkpoint truncated");
-  }
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(in[offset + static_cast<std::size_t>(i)])
-             << (8 * i);
-  }
-  offset += 4;
-  return value;
-}
-
-double read_f64(const std::vector<std::uint8_t>& in, std::size_t& offset) {
-  if (offset + 8 > in.size()) {
-    throw std::invalid_argument("checkpoint truncated");
-  }
-  std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<std::uint64_t>(in[offset + static_cast<std::size_t>(i)])
-            << (8 * i);
-  }
-  offset += 8;
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> BaseStation::serialize() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::uint8_t> out;
-  // Byte-wise push instead of a range insert: GCC 12's -Wstringop-overflow
-  // misfires on char* range-inserts into an empty byte vector.
-  for (char byte : kCheckpointMagic) {
-    out.push_back(static_cast<std::uint8_t>(byte));
+  std::vector<std::uint8_t> bytes;
+  ByteWriter out(bytes);
+  for (const char byte : kCheckpointMagic) {
+    out.u8(static_cast<std::uint8_t>(byte));
   }
-  append_u32(out, kCheckpointVersion);
-  append_u32(out, static_cast<std::uint32_t>(entries_.size()));
-  append_f64(out, p_);
+  out.u32(kCheckpointVersion);
+  out.u32(static_cast<std::uint32_t>(entries_.size()));
+  out.f64(p_);
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const auto& entry = entries_[i];
-    out.push_back(entry.reported ? 1 : 0);
-    append_f64(out, entry.probability);
+    out.u8(entry.reported ? 1 : 0);
+    out.f64(entry.probability);
     // Reuse the wire codec: one full SampleReport frame per node.
     SampleReport report;
     report.node_id = static_cast<int>(i);
     report.data_count = entry.data_count;
     report.new_samples = entry.samples->samples();
     const auto frame = encode(report);
-    append_u32(out, static_cast<std::uint32_t>(frame.size()));
-    out.insert(out.end(), frame.begin(), frame.end());
+    out.u32(static_cast<std::uint32_t>(frame.size()));
+    out.bytes(frame);
   }
-  return out;
+  return bytes;
 }
 
 BaseStation BaseStation::deserialize(const std::vector<std::uint8_t>& bytes) {
-  std::size_t offset = 0;
   if (bytes.size() < 4 ||
       std::memcmp(bytes.data(), kCheckpointMagic, 4) != 0) {
     throw std::invalid_argument("checkpoint: bad magic");
   }
-  offset = 4;
-  const std::uint32_t version = read_u32(bytes, offset);
-  if (version != kCheckpointVersion) {
+  ByteReader<std::invalid_argument> in{std::span(bytes).subspan(4),
+                                       "checkpoint truncated"};
+  if (in.u32() != kCheckpointVersion) {
     throw std::invalid_argument("checkpoint: unsupported version");
   }
-  const std::uint32_t node_count = read_u32(bytes, offset);
+  const std::uint32_t node_count = in.u32();
   if (node_count == 0) {
     throw std::invalid_argument("checkpoint: zero nodes");
   }
-  const double p = read_f64(bytes, offset);
+  const double p = in.f64();
   // Each node takes at least 13 bytes (reported flag, probability, frame
   // length): refuse a count the body cannot hold before allocating the
   // per-node entries it claims.
   constexpr std::size_t kMinNodeBytes = 1 + 8 + 4;
-  if (node_count > (bytes.size() - offset) / kMinNodeBytes) {
+  if (node_count > in.remaining() / kMinNodeBytes) {
     throw std::invalid_argument("checkpoint: node count exceeds body");
   }
 
   BaseStation station(node_count);
   for (std::uint32_t i = 0; i < node_count; ++i) {
-    if (offset >= bytes.size()) {
-      throw std::invalid_argument("checkpoint truncated");
-    }
-    const bool reported = bytes[offset++] != 0;
-    const double probability = read_f64(bytes, offset);
+    const bool reported = in.u8() != 0;
+    const double probability = in.f64();
     if (probability < 0.0 || probability > 1.0) {
       throw std::invalid_argument("checkpoint: bad node probability");
     }
-    const std::uint32_t frame_size = read_u32(bytes, offset);
-    if (offset + frame_size > bytes.size()) {
-      throw std::invalid_argument("checkpoint truncated");
+    const std::uint32_t frame_size = in.u32();
+    const SampleReport report = decode_sample_report(in.bytes(frame_size));
+    // Slot i holds node i's frame; a frame carrying another id would
+    // overwrite that node's samples and leave slot i's probability
+    // describing data it does not hold.
+    if (report.node_id != static_cast<int>(i)) {
+      throw std::invalid_argument("checkpoint: frame filed under another node");
     }
-    const std::vector<std::uint8_t> frame(
-        bytes.begin() + static_cast<std::ptrdiff_t>(offset),
-        bytes.begin() + static_cast<std::ptrdiff_t>(offset + frame_size));
-    offset += frame_size;
-    const SampleReport report = decode_sample_report(frame);
     if (reported) {
       station.replace(report);
       std::lock_guard<std::mutex> lock(station.mutex_);

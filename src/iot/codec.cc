@@ -1,8 +1,6 @@
 #include "iot/codec.h"
 
-#include <array>
-#include <cstring>
-
+#include "common/byte_codec.h"
 #include "common/check.h"
 
 namespace prc::iot {
@@ -10,147 +8,75 @@ namespace {
 
 constexpr std::uint8_t kMagic = 'P';
 constexpr std::size_t kHeaderSize = kMessageHeaderBytes;
-// Header field offsets.
-constexpr std::size_t kOffMagic = 0;
-constexpr std::size_t kOffType = 1;
-constexpr std::size_t kOffFlags = 2;
-constexpr std::size_t kOffNodeId = 4;
-constexpr std::size_t kOffPayloadLen = 8;
-constexpr std::size_t kOffSequence = 12;
+// The CRC field's offset; everything before it is covered by the CRC.
 constexpr std::size_t kOffCrc = 16;
 
 static_assert(kMessageHeaderBytes == 20, "codec layout assumes 20B header");
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
+/// The frame CRC: the CRC of the pre-CRC header bytes XOR the CRC of the
+/// payload (an empty payload contributes 0).
+std::uint32_t frame_crc(std::span<const std::uint8_t> frame) {
+  PRC_DCHECK(frame.size() >= kHeaderSize) << "frame shorter than header";
+  return crc32(frame.data(), kOffCrc) ^
+         crc32(frame.data() + kHeaderSize, frame.size() - kHeaderSize);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::size_t offset,
-             std::uint32_t value) {
-  PRC_DCHECK(offset + 4 <= out.size())
-      << "put_u32 out of bounds: offset " << offset << " in frame of "
-      << out.size();
-  for (int i = 0; i < 4; ++i) {
-    out[offset + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(value >> (8 * i));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-  }
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double value) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  put_u64(out, bits);
-}
-
-std::uint32_t get_u32(const std::vector<std::uint8_t>& in,
-                      std::size_t offset) {
-  PRC_DCHECK(offset + 4 <= in.size())
-      << "get_u32 out of bounds: offset " << offset << " in frame of "
-      << in.size();
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(in[offset + static_cast<std::size_t>(i)])
-             << (8 * i);
-  }
-  return value;
-}
-
-std::uint64_t get_u64(const std::vector<std::uint8_t>& in,
-                      std::size_t offset) {
-  PRC_DCHECK(offset + 8 <= in.size())
-      << "get_u64 out of bounds: offset " << offset << " in frame of "
-      << in.size();
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(in[offset + static_cast<std::size_t>(i)])
-             << (8 * i);
-  }
-  return value;
-}
-
-double get_f64(const std::vector<std::uint8_t>& in, std::size_t offset) {
-  const std::uint64_t bits = get_u64(in, offset);
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-/// Builds header + reserves the payload; the CRC is stamped by seal().
-std::vector<std::uint8_t> make_frame(MessageType type, int node_id,
-                                     std::uint32_t payload_len,
-                                     std::uint32_t sequence) {
-  std::vector<std::uint8_t> frame(kHeaderSize, 0);
-  frame[kOffMagic] = kMagic;
-  frame[kOffType] = static_cast<std::uint8_t>(type);
-  frame[kOffFlags] = 0;
-  frame[kOffFlags + 1] = 0;
-  put_u32(frame, kOffNodeId, static_cast<std::uint32_t>(node_id));
-  put_u32(frame, kOffPayloadLen, payload_len);
-  put_u32(frame, kOffSequence, sequence);
+/// The header with a zero CRC field, reserving room for the payload; the
+/// CRC is stamped by seal() once the payload is in.
+std::vector<std::uint8_t> start_frame(MessageType type, int node_id,
+                                      std::uint32_t payload_len,
+                                      std::uint32_t sequence) {
+  std::vector<std::uint8_t> frame;
   frame.reserve(kHeaderSize + payload_len);
+  ByteWriter out(frame);
+  out.u8(kMagic);
+  out.u8(static_cast<std::uint8_t>(type));
+  out.u8(0);  // flags (2 bytes, reserved)
+  out.u8(0);
+  out.u32(static_cast<std::uint32_t>(node_id));
+  out.u32(payload_len);
+  out.u32(sequence);
+  out.u32(0);  // crc
   return frame;
 }
 
-/// Computes the CRC over everything except the CRC field itself.
 void seal(std::vector<std::uint8_t>& frame) {
-  const std::uint32_t head_crc = crc32(frame.data(), kOffCrc);
-  const std::uint32_t body_crc =
-      frame.size() > kHeaderSize
-          ? crc32(frame.data() + kHeaderSize, frame.size() - kHeaderSize)
-          : 0;
-  put_u32(frame, kOffCrc, head_crc ^ body_crc);
+  ByteWriter(frame).patch_u32(kOffCrc, frame_crc(frame));
 }
 
-void validate(const std::vector<std::uint8_t>& frame, MessageType expected) {
+struct CheckedFrame {
+  int node_id = 0;
+  ByteReader<CodecError> payload;
+};
+
+/// Checks magic, type, declared payload length and CRC, in that order, and
+/// returns the sender with a reader positioned at the payload.
+CheckedFrame check_frame(std::span<const std::uint8_t> frame,
+                         MessageType expected) {
   if (frame.size() < kHeaderSize) throw CodecError("frame shorter than header");
-  if (frame[kOffMagic] != kMagic) throw CodecError("bad magic");
-  const auto type = static_cast<MessageType>(frame[kOffType]);
-  if (type != expected) throw CodecError("unexpected message type");
-  const std::uint32_t payload_len = get_u32(frame, kOffPayloadLen);
+  ByteReader<CodecError> in(frame, "frame shorter than header");
+  if (in.u8() != kMagic) throw CodecError("bad magic");
+  if (in.u8() != static_cast<std::uint8_t>(expected)) {
+    throw CodecError("unexpected message type");
+  }
+  in.bytes(2);  // flags
+  const auto node_id = static_cast<int>(in.u32());
+  const std::uint32_t payload_len = in.u32();
   if (frame.size() != kHeaderSize + payload_len) {
     throw CodecError("payload length mismatch");
   }
-  const std::uint32_t stored = get_u32(frame, kOffCrc);
-  const std::uint32_t head_crc = crc32(frame.data(), kOffCrc);
-  const std::uint32_t body_crc =
-      frame.size() > kHeaderSize
-          ? crc32(frame.data() + kHeaderSize, frame.size() - kHeaderSize)
-          : 0;
-  if (stored != (head_crc ^ body_crc)) throw CodecError("crc mismatch");
+  in.u32();  // sequence
+  if (in.u32() != frame_crc(frame)) throw CodecError("crc mismatch");
+  return {node_id, in};
 }
 
 }  // namespace
 
-std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
-  std::uint32_t crc = 0xffffffffu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = crc_table()[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
-  }
-  return crc ^ 0xffffffffu;
-}
-
 std::vector<std::uint8_t> encode(const SampleRequest& message,
                                  std::uint32_t sequence) {
-  auto frame = make_frame(MessageType::kSampleRequest, message.node_id,
-                          sizeof(double), sequence);
-  put_f64(frame, message.target_p);
+  auto frame = start_frame(MessageType::kSampleRequest, message.node_id,
+                           sizeof(double), sequence);
+  ByteWriter(frame).f64(message.target_p);
   seal(frame);
   return frame;
 }
@@ -159,12 +85,13 @@ std::vector<std::uint8_t> encode(const SampleReport& message,
                                  std::uint32_t sequence) {
   const auto payload_len = static_cast<std::uint32_t>(
       sizeof(std::uint64_t) + message.new_samples.size() * kSampleWireBytes);
-  auto frame = make_frame(MessageType::kSampleReport, message.node_id,
-                          payload_len, sequence);
-  put_u64(frame, static_cast<std::uint64_t>(message.data_count));
+  auto frame = start_frame(MessageType::kSampleReport, message.node_id,
+                           payload_len, sequence);
+  ByteWriter out(frame);
+  out.u64(static_cast<std::uint64_t>(message.data_count));
   for (const auto& sample : message.new_samples) {
-    put_f64(frame, sample.value);
-    put_u64(frame, sample.rank);
+    out.f64(sample.value);
+    out.u64(sample.rank);
   }
   seal(frame);
   return frame;
@@ -172,16 +99,17 @@ std::vector<std::uint8_t> encode(const SampleReport& message,
 
 std::vector<std::uint8_t> encode(const Heartbeat& message,
                                  std::uint32_t sequence) {
-  auto frame = make_frame(MessageType::kHeartbeat, message.node_id, 0,
-                          sequence);
+  auto frame = start_frame(MessageType::kHeartbeat, message.node_id, 0,
+                           sequence);
   seal(frame);
   return frame;
 }
 
-MessageType peek_type(const std::vector<std::uint8_t>& frame) {
+MessageType peek_type(std::span<const std::uint8_t> frame) {
   if (frame.size() < kHeaderSize) throw CodecError("frame shorter than header");
-  if (frame[kOffMagic] != kMagic) throw CodecError("bad magic");
-  const auto type = static_cast<MessageType>(frame[kOffType]);
+  ByteReader<CodecError> in(frame, "frame shorter than header");
+  if (in.u8() != kMagic) throw CodecError("bad magic");
+  const auto type = static_cast<MessageType>(in.u8());
   switch (type) {
     case MessageType::kSampleRequest:
     case MessageType::kSampleReport:
@@ -191,47 +119,36 @@ MessageType peek_type(const std::vector<std::uint8_t>& frame) {
   throw CodecError("unknown message type");
 }
 
-SampleRequest decode_sample_request(const std::vector<std::uint8_t>& frame) {
-  validate(frame, MessageType::kSampleRequest);
-  if (frame.size() != kHeaderSize + sizeof(double)) {
+SampleRequest decode_sample_request(std::span<const std::uint8_t> frame) {
+  auto checked = check_frame(frame, MessageType::kSampleRequest);
+  if (checked.payload.remaining() != sizeof(double)) {
     throw CodecError("sample request payload size");
   }
-  SampleRequest message;
-  message.node_id = static_cast<int>(get_u32(frame, kOffNodeId));
-  message.target_p = get_f64(frame, kHeaderSize);
-  return message;
+  return SampleRequest{checked.node_id, checked.payload.f64()};
 }
 
-SampleReport decode_sample_report(const std::vector<std::uint8_t>& frame) {
-  validate(frame, MessageType::kSampleReport);
-  const std::size_t payload = frame.size() - kHeaderSize;
-  if (payload < sizeof(std::uint64_t) ||
-      (payload - sizeof(std::uint64_t)) % kSampleWireBytes != 0) {
+SampleReport decode_sample_report(std::span<const std::uint8_t> frame) {
+  auto checked = check_frame(frame, MessageType::kSampleReport);
+  auto& payload = checked.payload;
+  if (payload.remaining() < sizeof(std::uint64_t) ||
+      (payload.remaining() - sizeof(std::uint64_t)) % kSampleWireBytes != 0) {
     throw CodecError("sample report payload size");
   }
   SampleReport message;
-  message.node_id = static_cast<int>(get_u32(frame, kOffNodeId));
-  message.data_count =
-      static_cast<std::size_t>(get_u64(frame, kHeaderSize));
-  const std::size_t count =
-      (payload - sizeof(std::uint64_t)) / kSampleWireBytes;
-  message.new_samples.reserve(count);
-  std::size_t offset = kHeaderSize + sizeof(std::uint64_t);
-  for (std::size_t i = 0; i < count; ++i) {
+  message.node_id = checked.node_id;
+  message.data_count = static_cast<std::size_t>(payload.u64());
+  message.new_samples.reserve(payload.remaining() / kSampleWireBytes);
+  while (!payload.exhausted()) {
     sampling::RankedValue sample;
-    sample.value = get_f64(frame, offset);
-    sample.rank = get_u64(frame, offset + sizeof(double));
+    sample.value = payload.f64();
+    sample.rank = payload.u64();
     message.new_samples.push_back(sample);
-    offset += kSampleWireBytes;
   }
   return message;
 }
 
-Heartbeat decode_heartbeat(const std::vector<std::uint8_t>& frame) {
-  validate(frame, MessageType::kHeartbeat);
-  Heartbeat message;
-  message.node_id = static_cast<int>(get_u32(frame, kOffNodeId));
-  return message;
+Heartbeat decode_heartbeat(std::span<const std::uint8_t> frame) {
+  return Heartbeat{check_frame(frame, MessageType::kHeartbeat).node_id};
 }
 
 }  // namespace prc::iot

@@ -7,7 +7,7 @@
 // message type, the source node id and a payload length, which is what a
 // minimal reliable datagram protocol for constrained devices needs.
 //
-// Layout (all integers little-endian):
+// Layout (all integers little-endian, written with common/byte_codec.h):
 //   header (20 B): magic 'P' (1) | type (1) | flags (2) | node_id (4) |
 //                  payload_len (4) | sequence (4) | crc32 (4)
 //   SampleRequest payload:  target_p (8 B double)
@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,10 +38,6 @@ class CodecError : public std::runtime_error {
   explicit CodecError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// CRC-32 (IEEE 802.3 polynomial) over a byte span; used for frame
-/// integrity in the header.
-std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
-
 std::vector<std::uint8_t> encode(const SampleRequest& message,
                                  std::uint32_t sequence = 0);
 std::vector<std::uint8_t> encode(const SampleReport& message,
@@ -48,11 +45,13 @@ std::vector<std::uint8_t> encode(const SampleReport& message,
 std::vector<std::uint8_t> encode(const Heartbeat& message,
                                  std::uint32_t sequence = 0);
 
-/// Type of an encoded frame (validates header + CRC first).
-MessageType peek_type(const std::vector<std::uint8_t>& frame);
+/// Type of an encoded frame (checks the header's size, magic and type
+/// byte; the CRC is checked by the decode_* call that follows).
+MessageType peek_type(std::span<const std::uint8_t> frame);
 
-SampleRequest decode_sample_request(const std::vector<std::uint8_t>& frame);
-SampleReport decode_sample_report(const std::vector<std::uint8_t>& frame);
-Heartbeat decode_heartbeat(const std::vector<std::uint8_t>& frame);
+// Decoders read the frame in place; a std::vector converts implicitly.
+SampleRequest decode_sample_request(std::span<const std::uint8_t> frame);
+SampleReport decode_sample_report(std::span<const std::uint8_t> frame);
+Heartbeat decode_heartbeat(std::span<const std::uint8_t> frame);
 
 }  // namespace prc::iot

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -13,17 +12,13 @@
 #include <map>
 #include <utility>
 
+#include "common/byte_codec.h"
 #include "common/check.h"
 #include "common/crash_point.h"
 #include "common/telemetry.h"
-#include "iot/codec.h"
 
 namespace prc::market::wal {
 namespace {
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t value) {
-  out.push_back(value);
-}
 
 void write_fully(int fd, const std::uint8_t* data, std::size_t size,
                  const std::string& path) {
@@ -56,189 +51,88 @@ void fsync_parent_directory(const std::string& path) {
   ::close(fd);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((value >> shift) & 0xFF));
-  }
+using Reader = ByteReader<FormatError>;
+
+// The header fields seal_record() fills in; the CRC also covers every
+// header byte before its own field.
+constexpr std::size_t kOffPayloadLen = 4;
+constexpr std::size_t kOffCrc = 16;
+// A commit record is 97 bytes plus its consumer id (an intent, 64 plus the
+// id), so the two per-sale appends encode into one allocation each for ids
+// up to 31 bytes.
+constexpr std::size_t kTypicalRecordBytes = 128;
+
+/// The header with zero length and CRC fields; seal_record() fills both
+/// once the payload has been appended after it.
+std::vector<std::uint8_t> start_record(RecordType type,
+                                       std::uint64_t wal_sequence) {
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(kTypicalRecordBytes);
+  ByteWriter out(bytes);
+  out.u8(kMagic);
+  out.u8(kFormatVersion);
+  out.u8(static_cast<std::uint8_t>(type));
+  out.u8(0);  // flags, reserved
+  out.u32(0);  // payload length
+  out.u64(wal_sequence);
+  out.u32(0);  // crc
+  return bytes;
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((value >> shift) & 0xFF));
-  }
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double value) {
-  put_u64(out, std::bit_cast<std::uint64_t>(value));
-}
-
-void put_string(std::vector<std::uint8_t>& out, const std::string& value) {
-  put_u32(out, static_cast<std::uint32_t>(value.size()));
-  out.insert(out.end(), value.begin(), value.end());
-}
-
-/// Bounds-checked reader over a payload slice; every overrun is a
-/// FormatError (the record claimed more content than its payload holds).
-class Cursor {
- public:
-  Cursor(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return data_[pos_++];
-  }
-
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t value = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      value |= static_cast<std::uint32_t>(data_[pos_++]) << shift;
-    }
-    return value;
-  }
-
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t value = 0;
-    for (int shift = 0; shift < 64; shift += 8) {
-      value |= static_cast<std::uint64_t>(data_[pos_++]) << shift;
-    }
-    return value;
-  }
-
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  std::string str() {
-    const std::uint32_t length = u32();
-    need(length);
-    std::string value(reinterpret_cast<const char*>(data_ + pos_), length);
-    pos_ += length;
-    return value;
-  }
-
-  bool exhausted() const noexcept { return pos_ == size_; }
-
- private:
-  void need(std::size_t bytes) const {
-    if (size_ - pos_ < bytes) {
-      throw FormatError("wal payload shorter than its content");
-    }
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-std::vector<std::uint8_t> frame(RecordType type, std::uint64_t wal_sequence,
-                                const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderSize + payload.size());
-  put_u8(out, kMagic);
-  put_u8(out, kFormatVersion);
-  put_u8(out, static_cast<std::uint8_t>(type));
-  put_u8(out, 0);  // flags, reserved
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u64(out, wal_sequence);
+void seal_record(std::vector<std::uint8_t>& bytes) {
+  const std::size_t payload_len = bytes.size() - kHeaderSize;
+  ByteWriter out(bytes);
+  out.patch_u32(kOffPayloadLen, static_cast<std::uint32_t>(payload_len));
   // The CRC covers the pre-CRC header bytes AND the payload, so header
   // corruption (a flipped length or sequence) is caught, not just payload
   // corruption.
-  std::vector<std::uint8_t> covered(out.begin(), out.end());
-  covered.insert(covered.end(), payload.begin(), payload.end());
-  put_u32(out, iot::crc32(covered.data(), covered.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  out.patch_u32(kOffCrc, crc32(bytes.data() + kHeaderSize, payload_len,
+                               crc32(bytes.data(), kOffCrc)));
 }
 
-std::vector<std::uint8_t> intent_payload(const IntentRecord& record) {
-  std::vector<std::uint8_t> payload;
-  put_string(payload, record.consumer_id);
-  put_f64(payload, record.range.lower);
-  put_f64(payload, record.range.upper);
-  put_f64(payload, record.spec.alpha.value());
-  put_f64(payload, record.spec.delta.value());
-  put_f64(payload, record.epsilon_amplified.value());
-  return payload;
-}
-
-std::vector<std::uint8_t> commit_payload(const CommitRecord& record) {
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, record.intent_sequence);
-  put_u64(payload, static_cast<std::uint64_t>(record.transaction.sequence));
-  put_string(payload, record.transaction.consumer_id);
-  put_f64(payload, record.transaction.range.lower);
-  put_f64(payload, record.transaction.range.upper);
-  put_f64(payload, record.transaction.spec.alpha.value());
-  put_f64(payload, record.transaction.spec.delta.value());
-  put_f64(payload, record.transaction.price);
-  put_f64(payload, record.transaction.epsilon_amplified.value());
-  put_f64(payload, record.transaction.coverage);
-  put_u8(payload, record.transaction.degraded ? 1 : 0);
-  return payload;
-}
-
-std::vector<std::uint8_t> checkpoint_payload(const LedgerSnapshot& snapshot) {
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, snapshot.next_sequence);
-  put_f64(payload, snapshot.total_revenue);
-  put_f64(payload, snapshot.total_epsilon.value());
-  put_f64(payload, snapshot.orphaned_epsilon.value());
-  put_u64(payload, snapshot.degraded_sales);
-  put_u32(payload, static_cast<std::uint32_t>(snapshot.consumers.size()));
-  for (const auto& totals : snapshot.consumers) {
-    put_string(payload, totals.consumer_id);
-    put_f64(payload, totals.spend);
-    put_f64(payload, totals.epsilon.value());
-  }
-  return payload;
-}
-
-IntentRecord decode_intent_payload(Cursor& cursor,
-                                   std::uint64_t wal_sequence) {
+IntentRecord decode_intent_payload(Reader& in, std::uint64_t wal_sequence) {
   IntentRecord record;
   record.wal_sequence = wal_sequence;
-  record.consumer_id = cursor.str();
-  record.range.lower = cursor.f64();
-  record.range.upper = cursor.f64();
-  record.spec.alpha = cursor.f64();
-  record.spec.delta = cursor.f64();
-  record.epsilon_amplified = cursor.f64();
+  record.consumer_id = in.str();
+  record.range.lower = in.f64();
+  record.range.upper = in.f64();
+  record.spec.alpha = in.f64();
+  record.spec.delta = in.f64();
+  record.epsilon_amplified = in.f64();
   return record;
 }
 
-CommitRecord decode_commit_payload(Cursor& cursor,
-                                   std::uint64_t wal_sequence) {
+CommitRecord decode_commit_payload(Reader& in, std::uint64_t wal_sequence) {
   CommitRecord record;
   record.wal_sequence = wal_sequence;
-  record.intent_sequence = cursor.u64();
-  record.transaction.sequence = static_cast<std::size_t>(cursor.u64());
-  record.transaction.consumer_id = cursor.str();
-  record.transaction.range.lower = cursor.f64();
-  record.transaction.range.upper = cursor.f64();
-  record.transaction.spec.alpha = cursor.f64();
-  record.transaction.spec.delta = cursor.f64();
-  record.transaction.price = cursor.f64();
-  record.transaction.epsilon_amplified = cursor.f64();
-  record.transaction.coverage = cursor.f64();
-  record.transaction.degraded = cursor.u8() != 0;
+  record.intent_sequence = in.u64();
+  record.transaction.sequence = static_cast<std::size_t>(in.u64());
+  record.transaction.consumer_id = in.str();
+  record.transaction.range.lower = in.f64();
+  record.transaction.range.upper = in.f64();
+  record.transaction.spec.alpha = in.f64();
+  record.transaction.spec.delta = in.f64();
+  record.transaction.price = in.f64();
+  record.transaction.epsilon_amplified = in.f64();
+  record.transaction.coverage = in.f64();
+  record.transaction.degraded = in.u8() != 0;
   return record;
 }
 
-LedgerSnapshot decode_checkpoint_payload(Cursor& cursor) {
+LedgerSnapshot decode_checkpoint_payload(Reader& in) {
   LedgerSnapshot snapshot;
-  snapshot.next_sequence = cursor.u64();
-  snapshot.total_revenue = cursor.f64();
-  snapshot.total_epsilon = cursor.f64();
-  snapshot.orphaned_epsilon = cursor.f64();
-  snapshot.degraded_sales = cursor.u64();
-  const std::uint32_t consumers = cursor.u32();
+  snapshot.next_sequence = in.u64();
+  snapshot.total_revenue = in.f64();
+  snapshot.total_epsilon = in.f64();
+  snapshot.orphaned_epsilon = in.f64();
+  snapshot.degraded_sales = in.u64();
+  const std::uint32_t consumers = in.u32();
   snapshot.consumers.reserve(consumers);
   for (std::uint32_t i = 0; i < consumers; ++i) {
     LedgerConsumerTotals totals;
-    totals.consumer_id = cursor.str();
-    totals.spend = cursor.f64();
-    totals.epsilon = cursor.f64();
+    totals.consumer_id = in.str();
+    totals.spend = in.f64();
+    totals.epsilon = in.f64();
     snapshot.consumers.push_back(std::move(totals));
   }
   return snapshot;
@@ -247,59 +141,81 @@ LedgerSnapshot decode_checkpoint_payload(Cursor& cursor) {
 }  // namespace
 
 std::vector<std::uint8_t> encode_intent(const IntentRecord& record) {
-  return frame(RecordType::kIntent, record.wal_sequence,
-               intent_payload(record));
+  auto bytes = start_record(RecordType::kIntent, record.wal_sequence);
+  ByteWriter out(bytes);
+  out.str(record.consumer_id);
+  out.f64(record.range.lower);
+  out.f64(record.range.upper);
+  out.f64(record.spec.alpha.value());
+  out.f64(record.spec.delta.value());
+  out.f64(record.epsilon_amplified.value());
+  seal_record(bytes);
+  return bytes;
 }
 
 std::vector<std::uint8_t> encode_commit(const CommitRecord& record) {
-  return frame(RecordType::kCommit, record.wal_sequence,
-               commit_payload(record));
+  auto bytes = start_record(RecordType::kCommit, record.wal_sequence);
+  ByteWriter out(bytes);
+  const auto& transaction = record.transaction;
+  out.u64(record.intent_sequence);
+  out.u64(static_cast<std::uint64_t>(transaction.sequence));
+  out.str(transaction.consumer_id);
+  out.f64(transaction.range.lower);
+  out.f64(transaction.range.upper);
+  out.f64(transaction.spec.alpha.value());
+  out.f64(transaction.spec.delta.value());
+  out.f64(transaction.price);
+  out.f64(transaction.epsilon_amplified.value());
+  out.f64(transaction.coverage);
+  out.u8(transaction.degraded ? 1 : 0);
+  seal_record(bytes);
+  return bytes;
 }
 
 std::vector<std::uint8_t> encode_checkpoint(const LedgerSnapshot& snapshot,
                                             std::uint64_t wal_sequence) {
-  return frame(RecordType::kCheckpoint, wal_sequence,
-               checkpoint_payload(snapshot));
+  auto bytes = start_record(RecordType::kCheckpoint, wal_sequence);
+  ByteWriter out(bytes);
+  out.u64(snapshot.next_sequence);
+  out.f64(snapshot.total_revenue);
+  out.f64(snapshot.total_epsilon.value());
+  out.f64(snapshot.orphaned_epsilon.value());
+  out.u64(snapshot.degraded_sales);
+  out.u32(static_cast<std::uint32_t>(snapshot.consumers.size()));
+  for (const auto& totals : snapshot.consumers) {
+    out.str(totals.consumer_id);
+    out.f64(totals.spend);
+    out.f64(totals.epsilon.value());
+  }
+  seal_record(bytes);
+  return bytes;
 }
 
-DecodedRecord decode_record(const std::vector<std::uint8_t>& bytes,
+DecodedRecord decode_record(std::span<const std::uint8_t> bytes,
                             std::size_t offset) {
   PRC_CHECK(offset <= bytes.size()) << "wal decode offset out of range";
-  if (bytes.size() - offset < kHeaderSize) {
-    throw FormatError("wal record header torn");
-  }
-  const std::uint8_t* header = bytes.data() + offset;
-  if (header[0] != kMagic) throw FormatError("wal record magic mismatch");
-  if (header[1] != kFormatVersion) {
-    throw FormatError("wal format version " + std::to_string(header[1]) +
+  const auto record = bytes.subspan(offset);
+  if (record.size() < kHeaderSize) throw FormatError("wal record header torn");
+  Reader header(record, "wal record payload torn");
+  if (header.u8() != kMagic) throw FormatError("wal record magic mismatch");
+  if (const std::uint8_t version = header.u8(); version != kFormatVersion) {
+    throw FormatError("wal format version " + std::to_string(version) +
                       " unsupported (expected " +
                       std::to_string(kFormatVersion) + ")");
   }
-  const std::uint8_t type = header[2];
+  const std::uint8_t type = header.u8();
   if (type != static_cast<std::uint8_t>(RecordType::kIntent) &&
       type != static_cast<std::uint8_t>(RecordType::kCommit) &&
       type != static_cast<std::uint8_t>(RecordType::kCheckpoint)) {
     throw FormatError("wal record type " + std::to_string(type) + " unknown");
   }
-  std::uint32_t payload_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_len |= static_cast<std::uint32_t>(header[4 + i]) << (8 * i);
-  }
-  std::uint64_t wal_sequence = 0;
-  for (int i = 0; i < 8; ++i) {
-    wal_sequence |= static_cast<std::uint64_t>(header[8 + i]) << (8 * i);
-  }
-  std::uint32_t stored_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored_crc |= static_cast<std::uint32_t>(header[16 + i]) << (8 * i);
-  }
-  if (bytes.size() - offset - kHeaderSize < payload_len) {
-    throw FormatError("wal record payload torn");
-  }
-  const std::uint8_t* payload = header + kHeaderSize;
-  std::vector<std::uint8_t> covered(header, header + 16);
-  covered.insert(covered.end(), payload, payload + payload_len);
-  if (iot::crc32(covered.data(), covered.size()) != stored_crc) {
+  header.u8();  // flags
+  const std::uint32_t payload_len = header.u32();
+  const std::uint64_t wal_sequence = header.u64();
+  const std::uint32_t stored_crc = header.u32();
+  const auto payload = header.bytes(payload_len);
+  if (crc32(payload.data(), payload.size(), crc32(record.data(), kOffCrc)) !=
+      stored_crc) {
     throw FormatError("wal record CRC mismatch");
   }
 
@@ -307,19 +223,19 @@ DecodedRecord decode_record(const std::vector<std::uint8_t>& bytes,
   decoded.type = static_cast<RecordType>(type);
   decoded.wal_sequence = wal_sequence;
   decoded.encoded_size = kHeaderSize + payload_len;
-  Cursor cursor(payload, payload_len);
+  Reader in(payload, "wal payload shorter than its content");
   switch (decoded.type) {
     case RecordType::kIntent:
-      decoded.intent = decode_intent_payload(cursor, wal_sequence);
+      decoded.intent = decode_intent_payload(in, wal_sequence);
       break;
     case RecordType::kCommit:
-      decoded.commit = decode_commit_payload(cursor, wal_sequence);
+      decoded.commit = decode_commit_payload(in, wal_sequence);
       break;
     case RecordType::kCheckpoint:
-      decoded.checkpoint = decode_checkpoint_payload(cursor);
+      decoded.checkpoint = decode_checkpoint_payload(in);
       break;
   }
-  if (!cursor.exhausted()) {
+  if (!in.exhausted()) {
     throw FormatError("wal record payload longer than its content");
   }
   return decoded;

@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -110,7 +111,7 @@ struct DecodedRecord {
 
 /// Decodes the record starting at `bytes[offset]`; throws FormatError when
 /// the bytes are not a complete, well-formed record.
-DecodedRecord decode_record(const std::vector<std::uint8_t>& bytes,
+DecodedRecord decode_record(std::span<const std::uint8_t> bytes,
                             std::size_t offset);
 
 struct RecoveryStats {

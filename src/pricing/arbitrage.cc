@@ -97,27 +97,33 @@ CheckReport ArbitrageChecker::check(const PricingFunction& pricing,
   const std::vector<double> price_grid = pricing.price_all(grid_specs);
 
   // Property 1: contracts with identical variance must have identical price.
+  // Each grid cell is compared with its iso-variance twin at every other
+  // grid delta.  The twins sit off the grid (their alpha solves the
+  // iso-variance equation), so they are collected in loop order and priced
+  // in one batch before the comparisons run in that same order.
+  std::vector<std::size_t> from_cells;
+  std::vector<query::AccuracySpec> twins;
   for (std::size_t i = 0; i < alphas.size(); ++i) {
     for (std::size_t j = 0; j < deltas.size(); ++j) {
-      const query::AccuracySpec spec{alphas[i], deltas[j]};
       const double v = variance_grid[cell(i, j)];
-      const double price_a = price_grid[cell(i, j)];
       for (double other_delta : deltas) {
         // Exact copies from the same grid vector, so identity compare
         // is the intended duplicate filter.
         if (other_delta == deltas[j]) continue;  // lint:allow float-eq
         const double other_alpha = model_.alpha_for_variance(v, other_delta);
         if (!(other_alpha > 0.0) || other_alpha > 1.0) continue;
-        // `other` sits off the grid (its alpha solves the iso-variance
-        // equation), so it is the one contract this loop still prices
-        // directly.
-        const query::AccuracySpec other{other_alpha, other_delta};
-        const double price_b = pricing.price(other);
-        ++report.checks_performed;
-        if (!approximately_equal(price_a, price_b)) {
-          record({1, spec, other, price_a, price_b});
-        }
+        from_cells.push_back(cell(i, j));
+        twins.push_back({other_alpha, other_delta});
       }
+    }
+  }
+  const std::vector<double> twin_prices = pricing.price_all(twins);
+  for (std::size_t k = 0; k < twins.size(); ++k) {
+    const double price_a = price_grid[from_cells[k]];
+    ++report.checks_performed;
+    if (!approximately_equal(price_a, twin_prices[k])) {
+      record({1, grid_specs[from_cells[k]], twins[k], price_a,
+              twin_prices[k]});
     }
   }
 

@@ -183,8 +183,13 @@ INSTANTIATE_TEST_SUITE_P(
                       ContractCase{0.10, 0.7}, ContractCase{0.20, 0.8},
                       ContractCase{0.15, 0.95}),
     [](const ::testing::TestParamInfo<ContractCase>& case_info) {
-      return "a" + std::to_string(static_cast<int>(case_info.param.alpha * 100)) +
-             "_d" + std::to_string(static_cast<int>(case_info.param.delta * 100));
+      // Appends, not `"a" + std::to_string(...)`: GCC 12 at -O3 reports a
+      // false -Wrestrict overlap inside operator+(const char*, string&&).
+      std::string name = "a";
+      name += std::to_string(static_cast<int>(case_info.param.alpha * 100));
+      name += "_d";
+      name += std::to_string(static_cast<int>(case_info.param.delta * 100));
+      return name;
     });
 
 }  // namespace

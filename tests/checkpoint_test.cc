@@ -87,6 +87,32 @@ TEST(CheckpointTest, CorruptedFrameIsDetected) {
   EXPECT_THROW(BaseStation::deserialize(bytes), CodecError);
 }
 
+TEST(CheckpointTest, RejectsFrameFiledUnderAnotherNode) {
+  // A 2-node checkpoint whose slot-1 frame carries node 0's id (with a
+  // valid CRC): restoring it would overwrite node 0's samples and leave
+  // slot 1 with a probability but no data.
+  BaseStation station(2);
+  station.replace({0, 4, {{1.0, 1}, {3.0, 3}}});
+  station.replace({1, 6, {{2.0, 2}, {5.0, 5}}});
+  station.commit_round(0.5);
+  auto bytes = station.serialize();
+  // Header (magic, version, node count, p) = 20 bytes; each slot is a
+  // reported flag, a probability and a u32 frame length before its frame.
+  constexpr std::size_t kSlotPrefix = 1 + 8 + 4;
+  const std::size_t frame0_size =
+      std::size_t{bytes[20 + 9]} | std::size_t{bytes[20 + 10]} << 8;
+  const std::size_t frame1 = 20 + kSlotPrefix + frame0_size + kSlotPrefix;
+  const std::vector<std::uint8_t> original(
+      bytes.begin() + static_cast<std::ptrdiff_t>(frame1), bytes.end());
+  SampleReport forged = decode_sample_report(original);
+  forged.node_id = 0;
+  const auto reframed = encode(forged);
+  ASSERT_EQ(reframed.size(), original.size());
+  std::copy(reframed.begin(), reframed.end(),
+            bytes.begin() + static_cast<std::ptrdiff_t>(frame1));
+  EXPECT_THROW(BaseStation::deserialize(bytes), std::invalid_argument);
+}
+
 TEST(CheckpointTest, RestoredStationAcceptsFurtherRounds) {
   FlatNetwork network(grid_node_data(2, 100));
   network.ensure_sampling_probability(0.2);

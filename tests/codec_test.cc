@@ -2,19 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-
 namespace prc::iot {
 namespace {
-
-TEST(CodecTest, Crc32KnownVector) {
-  // The canonical "123456789" check value for CRC-32/IEEE.
-  const std::string check = "123456789";
-  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
-                  check.size()),
-            0xcbf43926u);
-  EXPECT_EQ(crc32(nullptr, 0), 0u);
-}
 
 TEST(CodecTest, SampleRequestRoundTrip) {
   const SampleRequest original{42, 0.37};

@@ -164,8 +164,11 @@ INSTANTIATE_TEST_SUITE_P(
         ExponentVerdict{2.0, false, true},
         ExponentVerdict{3.0, false, true}),
     [](const ::testing::TestParamInfo<ExponentVerdict>& case_info) {
-      return "q" + std::to_string(
-                       static_cast<int>(case_info.param.exponent * 100));
+      // Appends, not `"q" + std::to_string(...)`: GCC 12 at -O3 reports a
+      // false -Wrestrict overlap inside operator+(const char*, string&&).
+      std::string name = "q";
+      name += std::to_string(static_cast<int>(case_info.param.exponent * 100));
+      return name;
     });
 
 TEST(ArbitrageCheckerTest, GridValidation) {
